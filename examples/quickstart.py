@@ -7,9 +7,10 @@ factor (Eq. 9), splits the loop into guarded warp groups (Fig. 4), and the
 simulator shows the L1D hit rate and execution time recovering.
 
 Everything goes through one :class:`repro.Session` — the typed facade over
-the whole pipeline.  Its :class:`repro.SimOptions` carries the engine/dedup
-knobs explicitly (no environment variables), and ``trace=True`` records a
-span tree of every phase, printed at the end.
+the whole pipeline.  Its :class:`repro.SimOptions` carries the simulator
+knobs explicitly (no environment variables; the default engine is the
+launch-wide uop tape), and ``trace=True`` records a span tree of every
+phase, printed at the end.
 
 Run:  python examples/quickstart.py
 """
@@ -49,8 +50,7 @@ def run(sess, unit, label):
 
 def main():
     # The with-block closes the session on exit, flushing its result cache.
-    with Session("max", SimOptions(engine="compiled", dedup=True,
-                                   trace=True, metrics=True)) as sess:
+    with Session("max", SimOptions(trace=True, metrics=True)) as sess:
         unit = sess.compile(SOURCE)
 
         print("=== CATT static analysis ===")

@@ -19,7 +19,7 @@ Quickstart::
 
     from repro import Session, SimOptions
 
-    sess = Session("max", SimOptions(engine="compiled", dedup=True))
+    sess = Session("max", SimOptions())
     unit = sess.compile(CUDA_SOURCE)
     comp = sess.catt(unit, {"my_kernel": (grid, block)})
     result = sess.launch(comp.unit, "my_kernel", grid, block, args=[...])

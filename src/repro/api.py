@@ -12,7 +12,7 @@ Quickstart::
 
     from repro import Session, SimOptions
 
-    with Session("max", SimOptions(engine="compiled", trace=True)) as sess:
+    with Session("max", SimOptions(trace=True)) as sess:
         unit = sess.compile(CUDA_SOURCE)
         comp = sess.catt(unit, {"my_kernel": (grid, block)})
         result = sess.launch(comp.unit, "my_kernel", grid, block, args=[...])

@@ -261,10 +261,11 @@ def main(argv: list[str] | None = None) -> int:
                              "sweep cell before it is quarantined as "
                              "degraded (default: 2)")
     parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="simulator engine (default: compiled)")
+                        help="simulator engine (default: tape; falls back "
+                             "to compiled, then interp, per launch)")
     parser.add_argument("--no-dedup", action="store_true",
-                        help="disable homogeneous-block dedup in the "
-                             "simulator")
+                        help="disable homogeneous-block dedup (only affects "
+                             "--engine compiled)")
     parser.add_argument("--sms", type=int, default=None, metavar="K",
                         help="co-simulate K SMs sharing one L2 (default 1, "
                              "the classic single-SM model)")

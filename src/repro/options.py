@@ -3,8 +3,10 @@
 Historically three environment variables steered the simulator and the
 experiment harness from three different call sites:
 
-* ``REPRO_SIM_ENGINE`` — ``"compiled"`` (default) | ``"interp"``;
-* ``REPRO_SIM_DEDUP`` — ``"1"`` (default) | ``"0"``;
+* ``REPRO_SIM_ENGINE`` — ``"tape"`` (default) | ``"compiled"`` |
+  ``"interp"``;
+* ``REPRO_SIM_DEDUP`` — ``"1"`` (default) | ``"0"`` (only affects
+  ``"compiled"``);
 * ``REPRO_CACHE`` — result-cache location (``""`` = memory-only).
 
 They still work, but are **deprecated**: reading one emits a
@@ -24,8 +26,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-ENGINE_ENV = "REPRO_SIM_ENGINE"   # "compiled" (default) | "interp" | "tape"
-DEDUP_ENV = "REPRO_SIM_DEDUP"     # "1" (default) | "0"
+ENGINE_ENV = "REPRO_SIM_ENGINE"   # "tape" (default) | "compiled" | "interp"
+DEDUP_ENV = "REPRO_SIM_DEDUP"     # "1" (default) | "0"; compiled engine only
 CACHE_ENV = "REPRO_CACHE"         # result-cache path ("" = memory-only)
 SANITIZE_ENV = "REPRO_SIM_SANITIZE"   # "" / "0" (default off) | anything else
 
@@ -43,7 +45,10 @@ class SimOptions:
     directory of a sharded result store.
     """
 
-    engine: str = "compiled"
+    # "tape" records every (TB, warp) slot of a launch in one vectorized
+    # pass and falls back to "compiled" (then "interp") on constructs its
+    # lowerer rejects.  ``dedup`` only affects the compiled engine.
+    engine: str = "tape"
     dedup: bool = True
     cache_dir: str | None = None
     jobs: int = 1
@@ -86,7 +91,7 @@ class SimOptions:
             value = raw.strip().lower()
             if value not in ENGINES:
                 # Fail loudly at resolution time instead of silently coercing
-                # to "compiled" and misattributing every downstream result.
+                # to the default and misattributing every downstream result.
                 raise ValueError(
                     f"{ENGINE_ENV}={raw!r} is not a valid engine; choose one "
                     f"of {ENGINES}")

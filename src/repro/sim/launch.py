@@ -296,11 +296,12 @@ def _launch_kernel(
     global_bases = [(value, name) for name, value, ctype in args
                     if ctype.is_pointer]
 
-    # Engine selection: closure-compile once per launch, falling back to the
-    # AST walk when the kernel uses a construct the compiler does not cover.
-    # The tape engine lowers to a flat uop tape and executes every (TB, warp)
-    # slot of the launch in one vectorized pass; it falls back to "compiled"
-    # (and from there to "interp") on unsupported constructs.
+    # Engine selection.  The default tape engine lowers the kernel once to a
+    # flat uop tape and records every (TB, warp) slot of the launch in one
+    # vectorized pass.  A kernel the lowerer rejects (the rejection is
+    # memoized) falls back to "compiled" — widened by homogeneous-block
+    # dedup when eligible — and from there to the "interp" AST walk when the
+    # closure compiler does not cover a construct either.
     engine_used = "interp"
     compiled = None
     tape_streams = None

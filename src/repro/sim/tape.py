@@ -1,6 +1,6 @@
 """Launch-wide vectorized uop-tape engine (``SimOptions.engine="tape"``).
 
-The third execution engine.  A kernel is lowered **once** into a flat
+The default execution engine.  A kernel is lowered **once** into a flat
 SSA-style uop tape (:func:`lower_kernel`); the tape is then executed over
 *every* (TB, warp) slot of a launch at once (:class:`TapeExecutor`): one
 NumPy step per uop across a ``(TB × warp × lane)`` batch axis laid out
@@ -200,12 +200,19 @@ class TapeProgram:
 # ---------------------------------------------------------------------------
 
 _CACHE_LIMIT = 64
-_cache: "OrderedDict[tuple[int, str], tuple[TranslationUnit, TapeProgram]]"
+# A rejected lowering is cached as its exception, so a kernel the lowerer
+# cannot express falls back at once on every later launch.
+_cache: ("OrderedDict[tuple[int, str], "
+         "tuple[TranslationUnit, TapeProgram | Exception]]")
 _cache = OrderedDict()
 
 
 def lower_kernel(unit: TranslationUnit, kernel_name: str) -> TapeProgram:
-    """Lower ``kernel_name`` to a uop tape (memoized per unit identity)."""
+    """Lower ``kernel_name`` to a uop tape (memoized per unit identity).
+
+    Raises ``SimulationError``/``NotImplementedError`` when the lowerer
+    rejects the kernel; the rejection is memoized like a success.
+    """
     from ..obs.metrics_registry import registry
     from ..obs.trace import span
 
@@ -216,15 +223,26 @@ def lower_kernel(unit: TranslationUnit, kernel_name: str) -> TapeProgram:
         _cache.move_to_end(key)
         if reg.enabled:
             reg.counter("sim.tape.cache_hits").inc()
+        if isinstance(hit[1], Exception):
+            raise hit[1].with_traceback(None)
         return hit[1]
     if reg.enabled:
         reg.counter("sim.tape.cache_misses").inc()
-    with span("sim.tape.lower", kernel=kernel_name):
-        program = _Lowerer(unit).lower(unit.kernel(kernel_name))
-    _cache[key] = (unit, program)
+    try:
+        with span("sim.tape.lower", kernel=kernel_name):
+            program = _Lowerer(unit).lower(unit.kernel(kernel_name))
+    except (SimulationError, NotImplementedError) as exc:
+        _remember(key, unit, exc)
+        raise
+    _remember(key, unit, program)
+    return program
+
+
+def _remember(key: tuple[int, str], unit: TranslationUnit,
+              outcome: "TapeProgram | Exception") -> None:
+    _cache[key] = (unit, outcome)
     while len(_cache) > _CACHE_LIMIT:
         _cache.popitem(last=False)
-    return program
 
 
 def clear_tape_cache() -> None:

@@ -7,7 +7,9 @@ vectorized tape engine must produce bit-identical functional results
 buffers) and identical cache/IPC metrics to the reference AST-walk
 interpreter.  This is the acceptance gate for both performance engines:
 any divergence in cycles, hit rates, transaction counts or verified
-output fails the corresponding app's test.
+output fails the corresponding app's test.  The tape engine runs under
+the default options (no engine set), so the gate also pins that the
+default reaches the tape on every registry launch.
 """
 
 from __future__ import annotations
@@ -18,19 +20,23 @@ from repro.sim.launch import DEDUP_ENV, ENGINE_ENV
 from repro.workloads import WORKLOADS, get_workload
 from repro.workloads.base import run_workload
 
-# label -> (REPRO_SIM_ENGINE, REPRO_SIM_DEDUP)
+# label -> (REPRO_SIM_ENGINE, REPRO_SIM_DEDUP); None leaves the variable
+# unset, so "default" runs under SimOptions() — the tape engine.
 CONFIGS = {
     "interp": ("interp", "0"),
     "compiled": ("compiled", "0"),
     "compiled+dedup": ("compiled", "1"),
+    "default": (None, None),
     "tape": ("tape", "0"),
 }
 
 
 def _run(app: str, monkeypatch, label: str):
-    engine, dedup = CONFIGS[label]
-    monkeypatch.setenv(ENGINE_ENV, engine)
-    monkeypatch.setenv(DEDUP_ENV, dedup)
+    for var, value in zip((ENGINE_ENV, DEDUP_ENV), CONFIGS[label]):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
     run = run_workload(get_workload(app, scale="test"))
     signature = [
         (r.kernel_name, tuple(sorted(r.metrics.summary().items())))
@@ -47,19 +53,20 @@ def test_engines_match_interpreter(app, monkeypatch):
     assert ref_verified is True
     assert ref_engines == {"interp"}
 
-    for label in ("compiled", "compiled+dedup", "tape"):
+    for label in ("compiled", "compiled+dedup", "default"):
         sig, verified, engines = _run(app, monkeypatch, label)
         assert sig == ref_sig, f"{app}: {label} metrics diverge from interp"
         assert verified is True, f"{app}: {label} functional results diverge"
         # Every configuration must actually exercise its engine — a silent
-        # fallback to the interpreter (or, for tape, to the compiled
-        # closures) would let the perf path rot while this gate stays green.
+        # fallback to the interpreter (or, under the default, to the
+        # compiled closures) would let the perf path rot while this gate
+        # stays green.
         assert "interp" not in engines, (
             f"{app}: {label} fell back to the interpreter"
         )
-        if label == "tape":
+        if label == "default":
             assert engines == {"tape"}, (
-                f"{app}: tape fell back to {sorted(engines)}"
+                f"{app}: the default engine ran {sorted(engines)}, not tape"
             )
 
 

@@ -157,3 +157,34 @@ __global__ void k(int *x, int *out) {{
 }}
 """
     _assert_tape_matches_interp(src, x)
+
+
+def test_rejected_lowering_is_cached(monkeypatch):
+    """A kernel the lowerer rejects is lowered once, not on every launch:
+    later launches fall back to the compiled engine from the cache."""
+    from repro.sim import tape
+    from repro.sim.interp import SimulationError
+
+    attempts = []
+
+    def reject(self, kernel):
+        attempts.append(kernel.name)
+        raise SimulationError("lowering rejected")
+
+    monkeypatch.setattr(tape._Lowerer, "lower", reject)
+    dev = Device(TITAN_V_SIM)
+    unit = dev.compile("""
+__global__ void k(int *x, int *out) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    out[i] = 2 * x[i];
+}
+""")
+    dx = dev.to_device(np.arange(32, dtype=np.int32))
+    dout = dev.zeros(32, np.int32)
+    # One TB of one warp: nothing to dedup, so the fallback is "compiled".
+    with use_options(SimOptions()):
+        results = [dev.launch(unit, "k", 1, 32, [dx, dout]) for _ in range(2)]
+    assert attempts == ["k"]
+    assert [r.engine for r in results] == ["compiled", "compiled"]
+    assert results[0].metrics.summary() == results[1].metrics.summary()
+    np.testing.assert_array_equal(dout.to_host(), 2 * np.arange(32))

@@ -289,3 +289,7 @@ def test_package_exports_session_api():
                  "RunAppRequest", "RunAppResponse"):
         assert name in repro.__all__
         assert hasattr(repro, name)
+
+
+def test_default_engine_is_tape():
+    assert SimOptions().engine == "tape"
