@@ -19,18 +19,18 @@ limit; the overflow sits in one shared queue that whichever SM retires a TB
 first backfills from — occupancy-aware, and deterministic because TB
 completion is a simulated-time event.
 
-Determinism: the interleave picks, every step, the SM whose next event
-issues earliest (``max(ready, now, issue_free)``), breaking ties by SM
-index.  No wall-clock or iteration-order nondeterminism enters the model,
-so a multi-SM launch is bit-reproducible across runs and process counts.
-
-At ``sms == 1`` callers should keep using ``SMEngine.run`` directly (the
-launch layer does); its fused loop is the single-SM fast path and this
-module's ``step`` interleave is its one-event-at-a-time mirror.
+Determinism: the interleave goes in turns.  Each turn the SM whose next
+event issues earliest (``max(ready, now, issue_free)``; ties to the lowest
+SM index) runs :meth:`~repro.sim.sm.SMEngine.step` until its next event
+would pass the runner-up's.  No wall-clock or iteration-order
+nondeterminism enters the model, so a multi-SM launch is bit-reproducible
+across runs and process counts.  At ``sms == 1`` the one turn runs the
+whole launch, exactly as ``SMEngine.run`` does.
 """
 
 from __future__ import annotations
 
+from math import nextafter
 from typing import Callable, Iterator
 
 from .arch import GPUSpec, SMConfig
@@ -117,29 +117,23 @@ class GPUEngine:
             else:
                 pending.append(tb_id)
         engines = self.engines
-        for i, engine in enumerate(engines):
-            engine.begin(initial[i], warp_factory, resident_limit,
-                         pending=pending)
+        for engine, dealt in zip(engines, initial):
+            engine.begin(dealt, warp_factory, resident_limit, pending)
+        # Each SM's next issue time.  An SM's time changes only while it
+        # runs: the shared queue, L2, ports and ATA tag array never touch
+        # another SM's heap, ``now`` or ``issue_free``.  Every SM starts at
+        # 0; one dealt no TB reports inf after its first turn.
+        times = [0.0] * n
         while True:
-            best = None
-            best_key = _INF
-            for engine in engines:
-                ready = engine.next_event_time()
-                if ready == _INF:
-                    continue
-                # The event actually issues at max(ready, now, issue_free);
-                # order the interleave by that, so shared-port claims happen
-                # in global issue order.  Strict < keeps ties on the
-                # lowest-indexed SM — deterministic.
-                key = ready
-                if engine.now > key:
-                    key = engine.now
-                if engine.issue_free > key:
-                    key = engine.issue_free
-                if key < best_key:
-                    best_key = key
-                    best = engine
-            if best is None:
+            first = min(times)
+            if first == _INF:
                 break
-            best.step()
+            i = times.index(first)  # ties go to the lowest-indexed SM
+            # Run SM i until it would pass the runner-up.  A lower-indexed
+            # runner-up wins a tie, so it bounds strictly: the float below.
+            times[i] = _INF  # excluded from the runner-up search
+            until = min(times)
+            if times.index(until) < i:
+                until = nextafter(until, -_INF)
+            times[i] = engines[i].step(until)
         return [engine.finish() for engine in engines]

@@ -238,7 +238,6 @@ def _launch_kernel(
     scheduler: str = "gto",
     max_tbs: int | None = None,
     carveout_kb: int | None = None,
-    metrics: SMMetrics | None = None,
     governor=None,
     governor_period: int = 256,
     l1_bypass: bool = False,
@@ -252,12 +251,6 @@ def _launch_kernel(
         sms = current_options().sms
     if l1_ata is None:
         l1_ata = current_options().l1_ata
-    # Run-time governors compose with multi-SM launches: GPUEngine gives
-    # each SM its own instance (governor.clone()), so one policy never
-    # arbitrates across co-simulated SMs with conflated epoch deltas.
-    if sms > 1 and metrics is not None:
-        raise ValueError("an external metrics sink requires sms=1; "
-                         "multi-SM launches aggregate per-SM records")
 
     kernel = unit.kernel(kernel_name)
     grid3, block3 = _as_dim3(grid), _as_dim3(block)
@@ -404,7 +397,7 @@ def _launch_kernel(
 
     per_sm: list[SMMetrics] | None = None
     if sms == 1:
-        engine = SMEngine(spec, config, scheduler=scheduler, metrics=metrics,
+        engine = SMEngine(spec, config, scheduler=scheduler,
                           governor=governor, governor_period=governor_period,
                           l1_bypass=l1_bypass, ata=ata)
         with _span("sim.engine", kernel=kernel_name, engine=engine_used,

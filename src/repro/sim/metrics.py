@@ -8,7 +8,7 @@ exceeds ``max_points`` so long simulations stay O(1) in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cache import CacheStats
 
@@ -104,34 +104,27 @@ def aggregate_metrics(per_sm: list[SMMetrics]) -> SMMetrics:
     """Fold per-SM launch metrics into one whole-launch record.
 
     ``cycles`` is the max over SMs (the launch finishes when the slowest SM
-    does); every throughput counter and cache-stat field is summed, so
+    does); every other counter and cache-stat field is summed, so
     ``l2_hit_rate`` on the aggregate is the shared-L2 hit rate across all
     SMs' attributed accesses.  The Fig.-2 memory trace is taken from SM 0 —
     a representative sample, not a merge; the figure is a per-SM view.
+    The fold walks the dataclass fields, so a new counter is aggregated
+    without being listed here.
     """
     if not per_sm:
         raise ValueError("aggregate_metrics needs at least one SMMetrics")
     agg = SMMetrics()
-    agg.mem_trace = per_sm[0].mem_trace
-    for m in per_sm:
-        agg.cycles = max(agg.cycles, m.cycles)
-        agg.instructions += m.instructions
-        agg.warp_mem_insts += m.warp_mem_insts
-        agg.coalescer_requests += m.coalescer_requests
-        agg.global_load_transactions += m.global_load_transactions
-        agg.global_store_transactions += m.global_store_transactions
-        agg.shared_transactions += m.shared_transactions
-        agg.l1_load.merge(m.l1_load)
-        agg.l1_store_hits += m.l1_store_hits
-        agg.l1_store_misses += m.l1_store_misses
-        agg.l2_load.merge(m.l2_load)
-        agg.dram_transactions += m.dram_transactions
-        agg.barriers += m.barriers
-        agg.tbs_executed += m.tbs_executed
-        agg.l1_remote_hits += m.l1_remote_hits
-        agg.ata_second_touches += m.ata_second_touches
-        agg.ata_first_touch_bypasses += m.ata_first_touch_bypasses
-        agg.governor_pauses += m.governor_pauses
-        agg.governor_resumes += m.governor_resumes
-        agg.warps_bypassed += m.warps_bypassed
+    for f in fields(SMMetrics):
+        name = f.name
+        values = [getattr(m, name) for m in per_sm]
+        if name == "cycles":
+            agg.cycles = max(values)
+        elif name == "mem_trace":
+            agg.mem_trace = values[0]
+        elif isinstance(values[0], CacheStats):
+            stats = getattr(agg, name)
+            for v in values:
+                stats.merge(v)
+        else:
+            setattr(agg, name, sum(values))
     return agg

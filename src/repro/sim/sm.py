@@ -16,6 +16,11 @@ The model captures exactly the mechanisms the paper's argument rests on:
 * real throttling semantics — ``__syncthreads`` barriers (warp-level
   throttling) and shared-memory occupancy limits (TB-level throttling) are
   honored structurally; there is no "throttle" flag anywhere in the engine.
+
+One event loop, :meth:`SMEngine.step`, serves every SM count: a single-SM
+launch runs it to completion (:meth:`SMEngine.run`), and the multi-SM
+:class:`~repro.sim.gpu.GPUEngine` runs each SM in turn up to the time the
+next SM would issue.
 """
 
 from __future__ import annotations
@@ -82,8 +87,7 @@ class SMEngine:
     """Executes TBs on one SM under the event-driven timing model."""
 
     def __init__(self, spec: GPUSpec, config: SMConfig,
-                 scheduler: str = "gto", metrics: SMMetrics | None = None,
-                 l2: Cache | None = None,
+                 scheduler: str = "gto", l2: Cache | None = None,
                  governor=None, governor_period: int = 256,
                  l1_bypass: bool = False,
                  sm_id: int = 0, ports=None, ata=None):
@@ -115,7 +119,7 @@ class SMEngine:
         self.config = config
         self.scheduler = scheduler
         self.sm_id = sm_id
-        self.metrics = metrics or SMMetrics()
+        self.metrics = SMMetrics()
         self.l1 = Cache(config.l1d_bytes, spec.cache_line, spec.l1_assoc, "L1D")
         self.l2 = l2 or Cache(spec.l2_slice_bytes(), spec.cache_line,
                               spec.l2_assoc, "L2")
@@ -156,23 +160,21 @@ class SMEngine:
         tb_ids: list[int],
         warp_factory: Callable[[int], list[Iterator]],
         resident_limit: int,
-        pending: list[int] | None = None,
+        pending: list[int],
     ) -> None:
-        """Stage a launch: activate the initial resident TBs.
+        """Stage a launch: activate ``tb_ids[:resident_limit]``.
 
         ``warp_factory(tb_id)`` materializes the warp generators of one TB —
         lazily, so shared-memory blocks are created at TB activation, exactly
-        when a real SM would allocate them.  ``pending`` (optional) is the
-        overflow queue retired TBs backfill from; the multi-SM engine passes
-        one list shared by all SMs, so whichever SM drains a TB first claims
-        the next one (occupancy-aware backfill).  After ``begin`` the launch
-        is driven either by :meth:`run` (fused loop) or one event at a time
-        by :meth:`step`, finishing with :meth:`finish`.
+        when a real SM would allocate them.  ``pending`` is the overflow queue
+        retired TBs backfill from; the multi-SM engine passes one list shared
+        by all SMs, so whichever SM drains a TB first claims the next one
+        (occupancy-aware backfill).  After ``begin`` the launch is driven by
+        :meth:`step` and sealed by :meth:`finish`.
         """
         if resident_limit < 1:
             raise ValueError("resident_limit must be >= 1")
         self._warp_factory = warp_factory
-        self._resident_limit = resident_limit
         self._active: list[TBSlot] = []
         # (ready, tie, slot_index)
         self._heap: list[tuple[float, int, int]] = []
@@ -183,16 +185,9 @@ class SMEngine:
             attach = getattr(governor, "attach", None)
             if attach is not None:
                 attach(self)
-        if pending is None:
-            self._pending = list(tb_ids)
-            while self._pending and len(self._active) < resident_limit:
-                self._activate(self._pending.pop(0), 0.0)
-        else:
-            # Multi-SM: the caller dealt the initial residency; overflow
-            # lives in the shared queue.
-            self._pending = pending
-            for tb_id in tb_ids[:resident_limit]:
-                self._activate(tb_id, 0.0)
+        self._pending = pending
+        for tb_id in tb_ids[:resident_limit]:
+            self._activate(tb_id, 0.0)
 
     def _activate(self, tb_id: int, start: float) -> None:
         tb = TBSlot(tb_id)
@@ -216,12 +211,25 @@ class SMEngine:
         resident_limit: int,
     ) -> SMMetrics:
         """Execute ``tb_ids`` with at most ``resident_limit`` TBs resident."""
-        self.begin(tb_ids, warp_factory, resident_limit)
+        self.begin(tb_ids, warp_factory, resident_limit,
+                   tb_ids[resident_limit:])
+        self.step()
+        return self.finish()
 
+    def step(self, until: float = _INF) -> float:
+        """Issue every event whose issue time is at most ``until``.
+
+        An event issues at ``max(ready, now, issue_free)``.  Returns the
+        SM's next issue time, ``inf`` once it is drained: the multi-SM
+        engine runs the earliest SM until it would pass the runner-up.  The
+        bound is checked once per issued event, on the first live heap
+        entry — when that warp's TB is governor-paused, the warp is deferred
+        and the SM's next warp issues without a second check.
+        """
         # Hot loop: one iteration per issued event.  Dispatch is on exact
-        # event class (events are final), method lookups are hoisted, and
-        # the GTO tie-break is inlined.  ``step`` mirrors this body one
-        # event at a time for the multi-SM interleave; keep them in sync.
+        # event class (events are final), method lookups and timing
+        # constants are hoisted, and the GTO tie-break and ComputeEvent
+        # timing (the most frequent event) are inlined.
         heap = self._heap
         slots = self._slots
         active = self._active
@@ -230,20 +238,21 @@ class SMEngine:
         do_mem = self._do_mem
         heappop = heapq.heappop
         heappush = heapq.heappush
-        # ComputeEvent handling is inlined below with the timing constants
-        # hoisted once — it is the single most frequent event class and the
-        # _do_compute body is three additions.  step() still routes through
-        # the method; the two must stay semantically identical.
         timing = self.spec.timing
         issue_cycles = timing.issue_cycles
         compute_cycles = timing.compute_cycles
         sfu_cycles = timing.sfu_cycles
         metrics = self.metrics
+        deferred = False
         while heap:
-            ready, _tie, slot_idx = heappop(heap)
+            ready, tie, slot_idx = heappop(heap)
             warp = slots[slot_idx]
             if warp.done or warp.at_barrier or warp.ready != ready:
                 continue  # stale heap entry
+            if not deferred and (ready > until or self.now > until
+                                 or self.issue_free > until):
+                heappush(heap, (ready, tie, slot_idx))
+                return max(ready, self.now, self.issue_free)
             if self.paused_tbs and warp.tb_index in self.paused_tbs:
                 live_tbs = {s.tb_index for s in slots if not s.done}
                 if live_tbs <= self.paused_tbs:
@@ -255,7 +264,9 @@ class SMEngine:
                     # Governor-paused TB: defer this warp by one quantum.
                     warp.ready = max(self.now, ready) + self.pause_quantum
                     heappush(heap, (warp.ready, self._tie(warp), slot_idx))
+                    deferred = True
                     continue
+            deferred = False
             while True:
                 if ready > self.now:
                     self.now = ready
@@ -302,82 +313,13 @@ class SMEngine:
                 if self.paused_tbs or (heap and heap[0] < entry):
                     heappush(heap, entry)
                     break
-
-        return self.finish()
-
-    # ------------------------------------------------------------------
-    def next_event_time(self) -> float:
-        """Ready time of this SM's next non-stale event (inf when drained).
-
-        Pops stale heap entries on the way so the multi-SM scheduler's peek
-        stays amortized O(log n), like the fused loop's lazy deletion.
-        """
-        heap = self._heap
-        slots = self._slots
-        heappop = heapq.heappop
-        while heap:
-            ready, _tie, slot_idx = heap[0]
-            warp = slots[slot_idx]
-            if warp.done or warp.at_barrier or warp.ready != ready:
-                heappop(heap)
-                continue
-            return ready
+                # The warp issues next, at max(ready, issue_free): a compute
+                # or memory event leaves now <= issue_free.
+                issue_free = self.issue_free
+                if ready > until or issue_free > until:
+                    heappush(heap, entry)
+                    return ready if ready > issue_free else issue_free
         return _INF
-
-    def step(self) -> bool:
-        """Process exactly one event; returns False when the SM is drained.
-
-        One-event mirror of the :meth:`run` loop body — the multi-SM engine
-        interleaves ``step`` calls across SMs in global event order, so any
-        change to the event semantics must land in both places.
-        """
-        heap = self._heap
-        slots = self._slots
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        while heap:
-            ready, _tie, slot_idx = heappop(heap)
-            warp = slots[slot_idx]
-            if warp.done or warp.at_barrier or warp.ready != ready:
-                continue  # stale heap entry
-            if self.paused_tbs and warp.tb_index in self.paused_tbs:
-                live_tbs = {s.tb_index for s in slots if not s.done}
-                if live_tbs <= self.paused_tbs:
-                    # One-TB relief, mirroring run() above.
-                    self.paused_tbs.discard(min(live_tbs))
-                if warp.tb_index in self.paused_tbs:
-                    warp.ready = max(self.now, ready) + self.pause_quantum
-                    heappush(heap, (warp.ready, self._tie(warp), slot_idx))
-                    continue
-            if ready > self.now:
-                self.now = ready
-            if self.governor is not None:
-                self._events_since_governor += 1
-                if self._events_since_governor >= self.governor_period:
-                    self._events_since_governor = 0
-                    self.governor(self)
-            try:
-                event = next(warp.gen)
-            except StopIteration:
-                self._retire_warp(warp)
-                return True
-            cls = event.__class__
-            if cls is ComputeEvent:
-                self._do_compute(warp, event)
-            elif cls is MemEvent:
-                self._do_mem(warp, event)
-            elif cls is SyncEvent:
-                self._do_sync(warp, self._active[warp.tb_index])
-                return True  # parked; re-queued at barrier release
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown event {event!r}")
-            heappush(
-                heap,
-                (warp.ready,
-                 warp.age if self.scheduler == "gto" else self._tie(warp),
-                 slot_idx))
-            return True
-        return False
 
     def finish(self) -> SMMetrics:
         """Seal the launch: record the cycle count and return the metrics."""
@@ -408,20 +350,6 @@ class SMEngine:
                 self._activate(self._pending.pop(0), self.now)
 
     # ------------------------------------------------------------------
-    def _do_compute(self, warp: WarpSlot, event: ComputeEvent) -> None:
-        t = self.spec.timing
-        start = self.issue_free
-        if start < self.now:
-            start = self.now
-        ops = event.ops
-        sfu = event.sfu_ops
-        self.issue_free = free = start + (ops + sfu) * t.issue_cycles
-        latency = t.compute_cycles if ops else 0
-        if sfu and t.sfu_cycles > latency:
-            latency = t.sfu_cycles
-        warp.ready = free + latency
-        self.metrics.instructions += ops + sfu
-
     def _do_mem(self, warp: WarpSlot, event: MemEvent) -> None:
         # Hot path: one call per warp memory instruction.  Port-availability
         # state is staged in locals (written back once) and two-way ``max``

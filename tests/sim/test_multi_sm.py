@@ -1,14 +1,18 @@
 """Multi-SM shared-L2 engine tests.
 
 Pins the three properties the :class:`~repro.sim.gpu.GPUEngine` is built
-around: (1) the ``step``/``next_event_time`` interleave is an exact mirror
-of ``SMEngine.run``'s fused loop, (2) co-resident SMs genuinely share one
-L2 (hit rates move with ``sms`` while functional results stay correct),
-and (3) the global interleave is deterministic — bit-identical metrics
-across repeated runs.
+around: (1) its turn-based interleave of ``SMEngine.step(until)`` issues
+events in the same global order as the one-event-at-a-time interleave it
+replaced (per-SM metrics pinned as literals at 1-4 SMs, with and without
+governors and ATA), (2) co-resident SMs genuinely share one L2 (hit rates
+move with ``sms`` while functional results stay correct), and (3) the
+global interleave is deterministic — bit-identical metrics across repeated
+runs.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,9 +20,9 @@ import pytest
 from repro.options import SimOptions, use_options
 from repro.runtime import Device
 from repro.sim.arch import TITAN_V, TITAN_V_SIM, SMConfig
+from repro.sim.cache import AggregatedTagArray
 from repro.sim.events import SYNC_EVENT, ComputeEvent, MemEvent
 from repro.sim.gpu import GPUEngine
-from repro.sim.launch import launch_kernel, resolve_args
 from repro.sim.metrics import SMMetrics, aggregate_metrics
 from repro.sim.sm import SMEngine
 
@@ -42,26 +46,6 @@ def _stream_factory(warps_per_tb=2, insts=24):
             yield MemEvent(base + np.arange(32, dtype=np.int64) * 4, 4, True)
         return [warp(w) for w in range(warps_per_tb)]
     return factory
-
-
-def test_gpu_engine_with_one_sm_matches_fused_run():
-    """GPUEngine(sms=1) drives SM 0 through begin/step/finish; the result
-    must be bit-identical to the fused ``SMEngine.run`` loop — the guarantee
-    that ``step`` really is ``run``'s one-event mirror."""
-    tb_ids = list(range(6))
-    config = SMConfig(TITAN_V_SIM, 0)
-
-    fused = SMEngine(TITAN_V_SIM, config)
-    ref = fused.run(tb_ids, _stream_factory(), resident_limit=2)
-
-    gpu = GPUEngine(TITAN_V_SIM, config, 1)
-    [stepped] = gpu.run(tb_ids, _stream_factory(), resident_limit=2)
-
-    assert stepped.summary() == ref.summary()
-    assert stepped.cycles == ref.cycles
-    assert stepped.l2_load.accesses == ref.l2_load.accesses
-    assert stepped.l2_load.hits == ref.l2_load.hits
-    assert stepped.dram_transactions == ref.dram_transactions
 
 
 def test_gpu_engine_repeat_runs_bit_identical():
@@ -151,16 +135,19 @@ def test_multi_sm_launch_shapes_and_aggregation():
     assert res.per_sm is not None and len(res.per_sm) == 4
     agg = res.metrics
     assert agg.cycles == max(m.cycles for m in res.per_sm)
-    for counter in ("instructions", "tbs_executed", "dram_transactions",
-                    "global_load_transactions", "barriers"):
+    counters = [f.name for f in dataclasses.fields(SMMetrics)
+                if isinstance(getattr(agg, f.name), int)
+                and f.name != "cycles"]
+    for counter in counters:
         assert getattr(agg, counter) == sum(
             getattr(m, counter) for m in res.per_sm), counter
-    # Per-SM shared-L2 attribution sums to the aggregate view.
-    assert agg.l2_load.accesses == sum(
-        m.l2_load.accesses for m in res.per_sm)
-    assert agg.l2_load.hits == sum(m.l2_load.hits for m in res.per_sm)
-    assert agg.l1_load.accesses == sum(
-        m.l1_load.accesses for m in res.per_sm)
+    # Per-SM L1 and shared-L2 attribution sums to the aggregate view.
+    for cache in ("l1_load", "l2_load"):
+        for stat in ("accesses", "hits", "misses", "evictions"):
+            assert getattr(getattr(agg, cache), stat) == sum(
+                getattr(getattr(m, cache), stat) for m in res.per_sm), \
+                (cache, stat)
+    assert agg.mem_trace is res.per_sm[0].mem_trace
     assert sum(m.tbs_executed for m in res.per_sm) == res.tbs_simulated
 
 
@@ -247,17 +234,6 @@ def test_cloneless_governor_rejected_at_multi_sm():
                    "k", 1, 256, [out], sms=2, governor=lambda eng: None)
 
 
-def test_external_metrics_sink_rejected_at_multi_sm():
-    dev = Device(TITAN_V_SIM)
-    out = dev.zeros(256)
-    src = "__global__ void k(float *o) { o[threadIdx.x] = 1.0f; }"
-    unit = dev.compile(src)
-    args = resolve_args(unit.kernel("k"), [int(out)])
-    with pytest.raises(ValueError, match="metrics"):
-        launch_kernel(unit, "k", 1, 256, args, dev.memory, TITAN_V_SIM,
-                      metrics=SMMetrics(), sms=2)
-
-
 # -- spec-level L2 sizing ----------------------------------------------------
 
 def test_l2_shared_bytes_scales_and_validates():
@@ -275,7 +251,154 @@ def test_sim_options_rejects_bad_sms():
         SimOptions(sms=0)
 
 
-# -- governor cadence across the fused fast path and step() -------------------
+# -- the interleave, pinned -------------------------------------------------
+
+# Per-SM ``summary()`` rows for 9 TBs of ``_stream_factory`` streams at two
+# resident TBs per SM, in ``SMMetrics.summary()`` key order.  Recorded from
+# the two-loop engine (a fused ``run()`` for one SM, a one-event ``step()``
+# interleave for several) before both folded into ``step(until)``: any
+# change in the global event order moves the per-SM cycles, the backfill
+# split or the governor and ATA counters.
+_SUMMARY_KEYS = tuple(SMMetrics().summary())
+_PINNED = {
+    ("plain", 1): [
+        (13126, 612, 450, 450, 0.4688, 0.0, 0, 864, 18, 459, 9, 0, 0, 0, 0, 0, 0),
+    ],
+    ("plain", 2): [
+        (10176, 340, 250, 250, 0.4688, 0.0, 0, 480, 10, 255, 5, 0, 0, 0, 0, 0, 0),
+        (8620, 272, 200, 200, 0.4688, 0.0, 0, 384, 8, 204, 4, 0, 0, 0, 0, 0, 0),
+    ],
+    ("plain", 3): [
+        (9525, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 0, 0, 0),
+        (9657, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 0, 0, 0),
+        (9849, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 0, 0, 0),
+    ],
+    ("plain", 4): [
+        (9045, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 0, 0, 0),
+        (6877, 136, 100, 100, 0.4688, 0.0, 0, 192, 4, 102, 2, 0, 0, 0, 0, 0, 0),
+        (6941, 136, 100, 100, 0.4688, 0.0, 0, 192, 4, 102, 2, 0, 0, 0, 0, 0, 0),
+        (7005, 136, 100, 100, 0.4688, 0.0, 0, 192, 4, 102, 2, 0, 0, 0, 0, 0, 0),
+    ],
+    ("dyncta", 1): [
+        (21653, 612, 450, 450, 0.4688, 0.0, 0, 864, 18, 459, 9, 0, 0, 0, 1, 0, 0),
+    ],
+    ("dyncta", 2): [
+        (13593, 340, 250, 250, 0.4688, 0.0, 0, 480, 10, 255, 5, 0, 0, 0, 1, 0, 0),
+        (11828, 272, 200, 200, 0.4688, 0.0, 0, 384, 8, 204, 4, 0, 0, 0, 1, 0, 0),
+    ],
+    ("dyncta", 3): [
+        (10073, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 1, 0, 0),
+        (10217, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 1, 0, 0),
+        (10361, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 1, 0, 0),
+    ],
+    ("dyncta", 4): [
+        (10201, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 1, 0, 0),
+        (8074, 136, 100, 100, 0.4688, 0.0, 0, 192, 4, 102, 2, 0, 0, 0, 1, 0, 0),
+        (8314, 136, 100, 100, 0.4688, 0.0, 0, 192, 4, 102, 2, 0, 0, 0, 1, 0, 0),
+        (8446, 136, 100, 100, 0.4688, 0.0, 0, 192, 4, 102, 2, 0, 0, 0, 1, 0, 0),
+    ],
+    ("ciao", 1): [
+        (21650, 612, 450, 450, 0.4688, 0.0, 0, 864, 18, 459, 9, 0, 0, 0, 1, 0, 0),
+    ],
+    ("ciao", 2): [
+        (15014, 340, 250, 250, 0.4688, 0.0, 0, 480, 10, 255, 5, 0, 0, 0, 1, 0, 0),
+        (12232, 272, 200, 200, 0.4688, 0.0, 0, 384, 8, 204, 4, 0, 0, 0, 1, 0, 0),
+    ],
+    ("ciao", 3): [
+        (10534, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 1, 0, 0),
+        (10678, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 1, 0, 0),
+        (11286, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 1, 0, 0),
+    ],
+    ("ciao", 4): [
+        (10150, 204, 150, 150, 0.4688, 0.0, 0, 288, 6, 153, 3, 0, 0, 0, 1, 0, 0),
+        (7878, 136, 100, 100, 0.4688, 0.0, 0, 192, 4, 102, 2, 0, 0, 0, 1, 0, 0),
+        (7926, 136, 100, 100, 0.4688, 0.0, 0, 192, 4, 102, 2, 0, 0, 0, 1, 0, 0),
+        (8218, 136, 100, 100, 0.4688, 0.0, 0, 192, 4, 102, 2, 0, 0, 0, 1, 0, 0),
+    ],
+    ("ata", 1): [
+        (14259, 612, 450, 450, 0.0, 0.4796, 0, 864, 18, 459, 9, 0, 405, 459, 0, 0, 0),
+    ],
+    ("ata", 2): [
+        (10120, 340, 250, 250, 0.0, 0.4796, 0, 480, 10, 255, 5, 0, 225, 255, 0, 0, 0),
+        (8066, 272, 200, 200, 0.0, 0.4796, 0, 384, 8, 204, 4, 0, 180, 204, 0, 0, 0),
+    ],
+    ("ata", 3): [
+        (9006, 204, 150, 150, 0.0, 0.4796, 0, 288, 6, 153, 3, 0, 135, 153, 0, 0, 0),
+        (9130, 204, 150, 150, 0.0, 0.4796, 0, 288, 6, 153, 3, 0, 135, 153, 0, 0, 0),
+        (9256, 204, 150, 150, 0.0, 0.4796, 0, 288, 6, 153, 3, 0, 135, 153, 0, 0, 0),
+    ],
+    ("ata", 4): [
+        (9422, 204, 150, 150, 0.0, 0.4796, 0, 288, 6, 153, 3, 0, 135, 153, 0, 0, 0),
+        (6877, 136, 100, 100, 0.0, 0.4796, 0, 192, 4, 102, 2, 0, 90, 102, 0, 0, 0),
+        (6941, 136, 100, 100, 0.0, 0.4796, 0, 192, 4, 102, 2, 0, 90, 102, 0, 0, 0),
+        (7005, 136, 100, 100, 0.0, 0.4796, 0, 192, 4, 102, 2, 0, 90, 102, 0, 0, 0),
+    ],
+}
+
+
+def _setup_kwargs(setup, sms, config, period=64):
+    from repro.baselines.ciao import CiaoGovernor
+    from repro.baselines.dyncta import DynCtaGovernor
+
+    if setup == "dyncta":
+        return {"governor": DynCtaGovernor(), "governor_period": period}
+    if setup == "ciao":
+        return {"governor": CiaoGovernor(), "governor_period": period}
+    if setup == "ata":
+        lines = config.l1d_bytes // TITAN_V_SIM.cache_line
+        return {"ata": AggregatedTagArray(
+            TITAN_V_SIM.ata_tag_factor * lines * sms)}
+    return {}
+
+
+@pytest.mark.parametrize("setup,sms", sorted(_PINNED))
+def test_interleave_matches_pinned_per_sm_metrics(setup, sms):
+    config = SMConfig(TITAN_V_SIM, 0)
+    gpu = GPUEngine(TITAN_V_SIM, config, sms,
+                    **_setup_kwargs(setup, sms, config))
+    per_sm = gpu.run(list(range(9)), _stream_factory(), resident_limit=2)
+    expected = [dict(zip(_SUMMARY_KEYS, row)) for row in _PINNED[setup, sms]]
+    assert [m.summary() for m in per_sm] == expected
+    if sms == 1:
+        # The single-SM entry point runs the same loop to completion.
+        engine = SMEngine(TITAN_V_SIM, config,
+                          **_setup_kwargs(setup, 1, config))
+        ref = engine.run(list(range(9)), _stream_factory(), resident_limit=2)
+        assert [ref.summary()] == expected
+
+
+# Four resident TBs per SM and faster governor ticks put a paused warp at
+# an SM's heap top when its turn's bound is checked.  The bound is checked
+# once, on that warp: the SM defers it and issues its next warp in the same
+# check.  Re-checking after the deferral ends the turn early and hands
+# the shared ports to another SM out of order, which moves these rows.
+_PINNED_PAUSED = {
+    ("dyncta", 16, 3): [
+        (18022, 408, 300, 300, 0.4688, 0.0, 0, 576, 12, 306, 6, 0, 0, 0, 3, 0, 0),
+        (15778, 340, 250, 250, 0.4688, 0.0, 0, 480, 10, 255, 5, 0, 0, 0, 3, 0, 0),
+        (15618, 340, 250, 250, 0.4688, 0.0, 0, 480, 10, 255, 5, 0, 0, 0, 3, 0, 0),
+    ],
+    ("ciao", 32, 4): [
+        (15473, 272, 200, 200, 0.4688, 0.0, 0, 384, 8, 204, 4, 0, 0, 0, 3, 0, 0),
+        (15793, 272, 200, 200, 0.4688, 0.0, 0, 384, 8, 204, 4, 0, 0, 0, 3, 0, 0),
+        (16213, 272, 200, 200, 0.4688, 0.0, 0, 384, 8, 204, 4, 0, 0, 0, 3, 0, 0),
+        (16473, 272, 200, 200, 0.4688, 0.0, 0, 384, 8, 204, 4, 0, 0, 0, 3, 0, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("setup,period,sms", sorted(_PINNED_PAUSED))
+def test_paused_heap_top_is_checked_once(setup, period, sms):
+    config = SMConfig(TITAN_V_SIM, 0)
+    gpu = GPUEngine(TITAN_V_SIM, config, sms,
+                    **_setup_kwargs(setup, sms, config, period))
+    per_sm = gpu.run(list(range(16)), _stream_factory(), resident_limit=4)
+    expected = [dict(zip(_SUMMARY_KEYS, row))
+                for row in _PINNED_PAUSED[setup, period, sms]]
+    assert [m.summary() for m in per_sm] == expected
+
+
+# -- governor cadence ---------------------------------------------------------
 
 class _CountingGovernor:
     """Counts invocations; never throttles (pure cadence probe)."""
@@ -290,44 +413,28 @@ class _CountingGovernor:
         return _CountingGovernor()
 
 
-def test_governor_cadence_survives_runahead_fast_path():
-    """The GTO run-ahead fast path keeps issuing inline without heap round
-    trips — but it must still tick the governor counter per issued event, so
-    the fused run() and the step()-driven GPUEngine(sms=1) invoke a governor
-    exactly the same number of times on identical streams."""
-    tb_ids = list(range(6))
-    config = SMConfig(TITAN_V_SIM, 0)
-
-    fused_gov = _CountingGovernor()
-    fused = SMEngine(TITAN_V_SIM, config, governor=fused_gov,
-                     governor_period=64)
-    ref = fused.run(tb_ids, _stream_factory(), resident_limit=2)
-
-    step_gov = _CountingGovernor()
-    gpu = GPUEngine(TITAN_V_SIM, config, 1, governor=step_gov,
-                    governor_period=64)
-    [stepped] = gpu.run(tb_ids, _stream_factory(), resident_limit=2)
-
-    assert fused_gov.calls == step_gov.calls > 0
-    assert stepped.summary() == ref.summary()
+# sms -> (TBs launched, per-SM governor calls at period 64).
+_CADENCE = {1: (6, [5]), 2: (9, [4, 3]), 3: (9, [2, 2, 2]),
+            4: (9, [2, 1, 1, 1])}
 
 
-def test_run_vs_step_differential_with_pausing_governor():
-    """A governor that actually pauses TBs forces the fused loop off its
-    fast path (pause bookkeeping is slow-path only); run() and step() must
-    still agree bit-for-bit on every metric."""
-    from repro.baselines.dyncta import DynCtaGovernor
-
-    tb_ids = list(range(6))
-    config = SMConfig(TITAN_V_SIM, 0)
-
-    fused = SMEngine(TITAN_V_SIM, config, governor=DynCtaGovernor(),
-                     governor_period=64)
-    ref = fused.run(tb_ids, _stream_factory(), resident_limit=2)
-
-    gpu = GPUEngine(TITAN_V_SIM, config, 1, governor=DynCtaGovernor(),
-                    governor_period=64)
-    [stepped] = gpu.run(tb_ids, _stream_factory(), resident_limit=2)
-
-    assert stepped.summary() == ref.summary()
-    assert stepped.cycles == ref.cycles
+@pytest.mark.parametrize("sms", sorted(_CADENCE))
+def test_governor_ticks_once_per_warp_advance(sms):
+    """The governor ticks before every ``next()`` on a warp — each issued
+    event plus the call that retires the warp — on the run-ahead fast path
+    as on the slow path, so each SM calls it
+    floor(TBs executed x warps per TB x advances per warp / period) times."""
+    tbs, calls = _CADENCE[sms]
+    warps_per_tb = 2
+    advances = len(list(_stream_factory(warps_per_tb)(0)[0])) + 1
+    assert advances == 29
+    period = 64
+    gov = _CountingGovernor()
+    gpu = GPUEngine(TITAN_V_SIM, SMConfig(TITAN_V_SIM, 0), sms, governor=gov,
+                    governor_period=period)
+    per_sm = gpu.run(list(range(tbs)), _stream_factory(warps_per_tb),
+                     resident_limit=2)
+    observed = [engine.governor.calls for engine in gpu.engines]
+    assert observed == [
+        m.tbs_executed * warps_per_tb * advances // period for m in per_sm]
+    assert observed == calls
