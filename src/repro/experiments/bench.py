@@ -24,6 +24,7 @@ from pathlib import Path
 
 from ..obs.trace import NULL_SPAN, Tracer, install as _install_tracer, span
 from ..options import SimOptions, use_options
+from ..sim.launch import clear_record_cache
 from ..workloads import get_workload
 from ..workloads.base import run_workload
 from .common import ResultCache
@@ -76,6 +77,8 @@ def bench_engines(scale: str = "test", apps: tuple[str, ...] = PROBE_APPS) -> di
     out: dict[str, dict] = {}
     for label, engine, dedup in ENGINE_CONFIGS:
         def probe() -> dict:
+            # Time the tape's record too, not a replay of stored records.
+            clear_record_cache()
             instructions = 0
             per_app: dict[str, float] = {}
             t0 = time.perf_counter()
@@ -162,6 +165,9 @@ def bench_obs_overhead(scale: str = "test", app: str = "ATAX",
     wall clock — the number CI gates at :data:`MAX_OBS_OVERHEAD_PCT`.
     """
     def probe() -> None:
+        # Every probe records its launches afresh: a run that reused the
+        # previous probe's stored records would do less work per span site.
+        clear_record_cache()
         run_workload(get_workload(app, scale))
 
     # (1) disabled per-call cost (span() checks one flag, returns NULL_SPAN).

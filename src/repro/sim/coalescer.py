@@ -5,6 +5,11 @@ memory instruction, the coalescer merges them into the minimal set of
 cache-line transactions, exactly as §3 of the paper describes: perfectly
 coalesced accesses produce one 128 B transaction; fully divergent accesses
 produce up to 32.
+
+Coalescing depends on the addresses only, so it happens when an engine
+builds the instruction's :class:`~repro.sim.events.MemEvent`
+(:func:`~repro.sim.events.mem_event`), once per event; the timing loop
+walks the event's precomputed lines.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ from ..frontend.ast_nodes import (
     WhileStmt,
     statements_in,
 )
-from .events import SYNC_EVENT, Event, MemEvent
+from .events import SYNC_EVENT, Event, mem_event
 from .interp import (
     _BINARY_MATH,
     _UNARY_MATH,
@@ -177,7 +177,8 @@ class CompiledWarp(WarpInterpreter):
 
     def _emit_mem(self, addresses: np.ndarray, itemsize: int, write: bool,
                   space: str, mask: np.ndarray) -> None:
-        self.pending.append(MemEvent(addresses, itemsize, write, space))
+        self.pending.append(mem_event(addresses, itemsize, write, space,
+                                      self.line_size))
 
     def sync_point(self, mask: np.ndarray) -> Iterator[Event]:
         # Mirrors SyncthreadsStmt handling in _exec_stmt.

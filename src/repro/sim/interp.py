@@ -57,7 +57,7 @@ from ..frontend.ast_nodes import (
     UnaryOp,
     WhileStmt,
 )
-from .events import SYNC_EVENT, Event, MemEvent, compute_event
+from .events import SYNC_EVENT, Event, compute_event, mem_event
 from .memory import GlobalMemory
 
 WARP_SIZE = 32
@@ -363,6 +363,9 @@ class WarpInterpreter:
     # read per memory op; ``san_epoch += 1`` shadows with an instance attr.
     sanitizer = None
     san_epoch = 0
+    # Coalescing granularity of the emitted MemEvents; the launcher sets the
+    # launch spec's cache line.
+    line_size = 128
 
     def __init__(
         self,
@@ -777,8 +780,8 @@ class WarpInterpreter:
         out = np.zeros(WARP_SIZE, dtype=dtype)
         out[mask] = data
         self._san_access(active, dtype.itemsize, mask, False, False, space)
-        # ``active`` is a fresh gather copy; the event may alias it directly.
-        self.pending.append(MemEvent(active, dtype.itemsize, False, space))
+        self.pending.append(mem_event(active, dtype.itemsize, False, space,
+                                      self.line_size))
         return TypedValue(out, elem)
 
     def _store(self, expr: ArrayRef, value: TypedValue, mask: np.ndarray) -> None:
@@ -799,9 +802,8 @@ class WarpInterpreter:
             self.memory.store(active, value.values[mask])
         self._san_access(active, np_dtype_for(elem).itemsize, mask,
                          True, False, space)
-        self.pending.append(
-            MemEvent(active, np_dtype_for(elem).itemsize, True, space)
-        )
+        self.pending.append(mem_event(active, np_dtype_for(elem).itemsize,
+                                      True, space, self.line_size))
 
     # -- operators -----------------------------------------------------------
     def _eval_binop(self, expr: BinOp, mask: np.ndarray) -> TypedValue:
@@ -1002,8 +1004,10 @@ class WarpInterpreter:
                 cur = self.memory.load(a, dtype)
                 self.memory.store(a, cur + active_val[pos])
         self._san_access(active_addr, dtype.itemsize, mask, True, True, space)
-        self.pending.append(MemEvent(active_addr.copy(), dtype.itemsize, False, space))
-        self.pending.append(MemEvent(active_addr.copy(), dtype.itemsize, True, space))
+        self.pending.append(mem_event(active_addr, dtype.itemsize, False,
+                                      space, self.line_size))
+        self.pending.append(mem_event(active_addr, dtype.itemsize, True,
+                                      space, self.line_size))
         out = np.zeros(WARP_SIZE, dtype=dtype)
         out[mask] = old
         return TypedValue(out, elem)

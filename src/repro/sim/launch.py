@@ -8,6 +8,8 @@ assignment), builds per-TB warp interpreters, and runs them on the
 
 from __future__ import annotations
 
+import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +141,82 @@ def shared_layout_of(kernel: FunctionDef, dynamic_bytes: int = 0
     return layout
 
 
+# ---------------------------------------------------------------------------
+# Record memo: every scheme that only changes the timing model (DynCTA, CIAO,
+# ATA, bypass) replays the functional record of the baseline launch.  Keyed
+# on everything a tape record reads, a later launch with the same inputs
+# takes the stored streams and the record's device writes instead of
+# executing the tape again; the timing loop still runs for every launch.
+# Sound because recorded streams are never mutated (repro.sim.events).
+# ---------------------------------------------------------------------------
+
+RECORD_CACHE_LIMIT = 16
+# key -> (streams, snapshot of the allocations the record changed)
+_records: "OrderedDict[tuple, tuple[dict, tuple]]" = OrderedDict()
+
+
+def clear_record_cache() -> None:
+    _records.clear()
+
+
+def _exact(value):
+    """``value`` as a key part that tells ``0.0`` from ``-0.0``."""
+    if isinstance(value, (float, np.floating)):
+        return struct.pack("<d", value)
+    return value
+
+
+def _record_key(unit: TranslationUnit, kernel: FunctionDef, grid: Dim3,
+                block: Dim3, warps_per_tb: int, layout: dict,
+                shared_capacity: int, args: KernelArgs, tb_ids: list[int],
+                line_size: int, memory: GlobalMemory) -> tuple:
+    """Everything a tape record of this launch reads.
+
+    The kernel and the unit's device functions compare structurally (not
+    the whole unit, whose other kernels a CATT transform may rewrite),
+    scalar arguments bit-exactly, and device memory through one content
+    digest per allocation.
+    """
+    return (
+        kernel,
+        tuple(f for f in unit.functions if f.is_device),
+        grid, block, warps_per_tb,
+        tuple(layout.items()), shared_capacity,
+        tuple((name, _exact(value), ctype)
+              for name, value, ctype in args.bindings),
+        tuple(tb_ids), line_size,
+        memory.digests(),
+    )
+
+
+def _recall(key: tuple, memory: GlobalMemory) -> dict | None:
+    """The stored streams for ``key`` with the record's device writes
+    restored, or None."""
+    reg = _metrics_registry()
+    entry = _records.get(key)
+    if entry is None:
+        if reg.enabled:
+            reg.counter("sim.tape.record_misses").inc()
+        return None
+    _records.move_to_end(key)
+    if reg.enabled:
+        reg.counter("sim.tape.record_hits").inc()
+    streams, writes = entry
+    memory.restore(writes)
+    return streams
+
+
+def _store(key: tuple, memory: GlobalMemory, streams: dict) -> None:
+    """Remember a fresh record: its streams plus copies of the
+    allocations whose digest it changed."""
+    before = key[-1]  # _record_key ends with the pre-record digests
+    changed = [i for i, (old, new) in enumerate(zip(before, memory.digests()))
+               if old != new]
+    _records[key] = (streams, memory.snapshot(changed))
+    while len(_records) > RECORD_CACHE_LIMIT:
+        _records.popitem(last=False)
+
+
 def launch_kernel(
     unit: TranslationUnit,
     kernel_name: str,
@@ -160,10 +238,10 @@ def launch_kernel(
     quick tests).  ``carveout_kb`` overrides the Eq.-4 carveout choice.
     """
     with _span("sim.launch", kernel=kernel_name) as sp:
-        result = _launch_kernel(unit, kernel_name, grid, block, args, memory,
-                                spec, **kwargs)
+        result, recorded = _launch_kernel(unit, kernel_name, grid, block,
+                                          args, memory, spec, **kwargs)
         sp.set(engine=result.engine, cycles=result.cycles,
-               tbs=result.tbs_simulated)
+               tbs=result.tbs_simulated, recorded=recorded)
         return result
 
 
@@ -244,7 +322,10 @@ def _launch_kernel(
     l1_ata: bool | None = None,
     shared_bytes: int = 0,
     sms: int | None = None,
-) -> LaunchResult:
+) -> tuple[LaunchResult, str]:
+    """Returns the result and how the event streams were obtained:
+    ``"memo"`` (a stored tape record), ``"fresh"`` (recorded up front by
+    this launch) or ``"none"`` (generated while the timing loop runs)."""
     from .sm import SMEngine  # local import to avoid cycles in tooling
 
     if sms is None:
@@ -296,6 +377,7 @@ def _launch_kernel(
     # dedup when eligible — and from there to the "interp" AST walk when the
     # closure compiler does not cover a construct either.
     engine_used = "interp"
+    recorded = "none"
     compiled = None
     tape_streams = None
     choice = _engine_choice()
@@ -308,15 +390,30 @@ def _launch_kernel(
         except (SimulationError, NotImplementedError):
             program = None
         if program is not None:
-            with _span("sim.tape.record", kernel=kernel_name, tbs=total_tbs,
-                       warps_per_tb=warps_per_tb):
-                tape_streams, tape_shadows = record_tape_streams(
-                    program, memory, layout, max(occ.shared_usage_tb, 1),
-                    kargs, grid3, block3, warps_per_tb, set(tb_ids),
-                    sanitize=sanitize, kernel_name=kernel_name,
-                    global_bases=global_bases)
-            if sanitize:
-                shadows.extend(tape_shadows)
+            capacity = max(occ.shared_usage_tb, 1)
+            # The sanitizer must watch every access, so it never reuses or
+            # stores a record.
+            key = None
+            if not sanitize:
+                key = _record_key(unit, kernel, grid3, block3, warps_per_tb,
+                                  layout, capacity, kargs, tb_ids,
+                                  spec.cache_line, memory)
+                tape_streams = _recall(key, memory)
+            if tape_streams is not None:
+                recorded = "memo"
+            else:
+                recorded = "fresh"
+                with _span("sim.tape.record", kernel=kernel_name,
+                           tbs=total_tbs, warps_per_tb=warps_per_tb):
+                    tape_streams, tape_shadows = record_tape_streams(
+                        program, memory, layout, capacity, kargs, grid3,
+                        block3, warps_per_tb, set(tb_ids), spec.cache_line,
+                        sanitize=sanitize, kernel_name=kernel_name,
+                        global_bases=global_bases)
+                if sanitize:
+                    shadows.extend(tape_shadows)
+                if key is not None:
+                    _store(key, memory, tape_streams)
             engine_used = "tape"
         else:
             choice = "compiled"
@@ -348,15 +445,15 @@ def _launch_kernel(
                 dedup_streams = record_block_streams(
                     unit, kernel, memory, layout,
                     max(occ.shared_usage_tb, 1), kargs, grid3, block3,
-                    warps_per_tb,
+                    warps_per_tb, line_size=spec.cache_line,
                 )
             engine_used = "compiled+dedup"
+            recorded = "fresh"
 
-    recorded = dedup_streams if dedup_streams is not None else tape_streams
-    if recorded is not None:
+    streams = dedup_streams if dedup_streams is not None else tape_streams
+    if streams is not None:
         def warp_factory(tb_id: int):
-            return [iter(recorded[tb_id][w])
-                    for w in range(warps_per_tb)]
+            return [iter(warp) for warp in streams[tb_id]]
     else:
         def warp_factory(tb_id: int):
             bx = tb_id % grid3[0]
@@ -376,6 +473,7 @@ def _launch_kernel(
                         (bx, by, bz), block3, grid3, w,
                     )
                     warp.sanitizer = shadow
+                    warp.line_size = spec.cache_line
                     gens.append(warp.run_compiled(compiled))
                 else:
                     interp = WarpInterpreter(
@@ -383,6 +481,7 @@ def _launch_kernel(
                         (bx, by, bz), block3, grid3, w,
                     )
                     interp.sanitizer = shadow
+                    interp.line_size = spec.cache_line
                     gens.append(interp.run())
             return gens
 
@@ -427,7 +526,7 @@ def _launch_kernel(
     # contribute to timing — other SMs run them "in parallel".  The widened
     # dedup and tape passes already performed every TB's memory effects
     # exactly once, so they must not (and do not) re-execute anything here.
-    if recorded is None:
+    if streams is None:
         timed = set(tb_ids)
         if len(timed) < total_tbs:
             with _span("sim.shadow_exec", kernel=kernel_name,
@@ -456,7 +555,7 @@ def _launch_kernel(
         sms=sms,
         per_sm=tuple(per_sm) if per_sm is not None else None,
         sanitizer=sanitizer_result,
-    )
+    ), recorded
 
 
 def _override_carveout(spec: GPUSpec, occ: OccupancyResult,

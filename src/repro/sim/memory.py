@@ -8,6 +8,7 @@ the target buffer with one binary search.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,25 @@ class GlobalMemory:
         if addr >= alloc.end:
             raise MemoryError_(f"address {addr:#x} is unmapped")
         return alloc
+
+    # -- content identity ---------------------------------------------------
+    def digests(self) -> tuple[tuple[int, int, str, bytes], ...]:
+        """One ``(start, size, dtype, content hash)`` entry per allocation,
+        in allocation order: equal digests mean equal device memory."""
+        return tuple(
+            (a.start, a.size, a.buffer.dtype.str,
+             hashlib.sha1(a.buffer, usedforsecurity=False).digest())
+            for a in self._allocs)
+
+    def snapshot(self, indices) -> tuple[tuple[int, np.ndarray], ...]:
+        """Copies of the allocations at ``indices`` (allocation order)."""
+        return tuple((i, self._allocs[i].buffer.copy()) for i in indices)
+
+    def restore(self, snapshot: tuple[tuple[int, np.ndarray], ...]) -> None:
+        """Write a :meth:`snapshot` back in place; host views of the
+        buffers see the restored contents."""
+        for i, saved in snapshot:
+            self._allocs[i].buffer[...] = saved
 
     # -- vectorized access -------------------------------------------------
     def load(self, addresses: np.ndarray, dtype: np.dtype) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..frontend.ast_nodes import CType, FunctionDef, TranslationUnit
 from .compile import CompiledWarp, compile_kernel
-from .events import SYNC_EVENT, Event, MemEvent, compute_event
+from .events import SYNC_EVENT, Event, compute_event, mem_event
 from .interp import (
     WARP_SIZE,
     KernelArgs,
@@ -226,9 +226,10 @@ class WideWarp(CompiledWarp):
             if not ids:
                 return
         bp = self._block_pending
+        line_size = self.line_size
         for i, slot in enumerate(ids):
-            ev = MemEvent(addresses[bounds[i]:bounds[i + 1]], itemsize,
-                          write, space)
+            ev = mem_event(addresses[bounds[i]:bounds[i + 1]], itemsize,
+                           write, space, line_size)
             q = bp.get(slot)
             if q is None:
                 bp[slot] = [ev]
@@ -306,6 +307,8 @@ def record_block_streams(
     block: tuple[int, int, int],
     warps_per_tb: int,
     max_wide_slots: int = MAX_WIDE_SLOTS,
+    *,
+    line_size: int,
 ) -> list[list[list[Event]]]:
     """Execute *all* warps of a launch via widened (TB, warp) slots.
 
@@ -342,6 +345,7 @@ def record_block_streams(
             shared = WideShared(ntbs, shared_capacity)
             warp = WideWarp(unit, kernel, memory, shared, shared_layout,
                             args, chunk, block, grid, warps_per_tb)
+            warp.line_size = line_size
             for _ in warp.run_compiled(compiled):
                 pass  # wide flushes record in place; nothing is yielded
         for slot in range(ntbs * warps_per_tb):

@@ -31,7 +31,6 @@ from typing import Callable, Iterator
 
 from .arch import GPUSpec, SMConfig
 from .cache import ATA_REMOTE, ATA_SEEN, Cache
-from .coalescer import coalesce_lines
 from .events import ComputeEvent, MemEvent, SyncEvent
 from .metrics import SMMetrics
 
@@ -375,8 +374,7 @@ class SMEngine:
             m.shared_transactions += 1
             warp.ready = start + (issue_cycles if write else t.shared_latency)
             return
-        lines = coalesce_lines(event.addresses, event.access_size,
-                               self.spec.cache_line)
+        lines = event.lines
         ntxn = len(lines)
         m.coalescer_requests += 1
         m.mem_trace.record(ntxn)

@@ -87,7 +87,7 @@ from ..frontend.ast_nodes import (
     WhileStmt,
     statements_in,
 )
-from .events import SYNC_EVENT, Event, MemEvent, compute_event
+from .events import SYNC_EVENT, Event, compute_event, mem_event
 from .interp import (
     _BINARY_MATH,
     _UNARY_MATH,
@@ -756,6 +756,7 @@ class TapeExecutor:
         grid_dim: tuple[int, int, int],
         warps_per_tb: int,
         timed_slots: np.ndarray,  # sorted chunk-local slot ids to record
+        line_size: int,           # coalescing granularity of MemEvents
         shadows: list[ShadowState] | None = None,
     ):
         ntbs = block_idxs.shape[0]
@@ -782,6 +783,7 @@ class TapeExecutor:
         # Timed-slot accounting.
         self.timed_ids = timed_slots
         self.ntimed = int(timed_slots.size)
+        self.line_size = line_size
         self.ops_t = np.zeros(self.ntimed, dtype=np.int64)
         self.sfu_t = np.zeros(self.ntimed, dtype=np.int64)
         self.ops_flag = False
@@ -977,10 +979,11 @@ class TapeExecutor:
             ot[:] = 0
             self.ops_flag = self.sfu_flag = False
         if self.pending:
+            line_size = self.line_size
             for addresses, itemsize, write, space, bounds in self.pending:
                 for tp, s, e in bounds:
-                    tstreams[tp].append(
-                        MemEvent(addresses[s:e], itemsize, write, space))
+                    tstreams[tp].append(mem_event(
+                        addresses[s:e], itemsize, write, space, line_size))
             self.pending = []
         self._mcache.clear()
 
@@ -1517,18 +1520,20 @@ def record_tape_streams(
     block: tuple[int, int, int],
     warps_per_tb: int,
     timed_tbs: set[int],
+    line_size: int,
     sanitize: bool = False,
     kernel_name: str = "",
     global_bases: list[tuple[int, str]] | None = None,
     max_slots: int = MAX_TAPE_SLOTS,
-) -> tuple[list[list[list[Event]]], list[ShadowState]]:
+) -> tuple[dict[int, list[list[Event]]], list[ShadowState]]:
     """Execute *all* TBs of a launch on the uop tape, in whole-TB chunks.
 
     Returns ``(streams, shadows)`` where ``streams[tb_id][warp_id]`` holds
-    the recorded event list for timed TBs (empty lists elsewhere — the
-    caller replays timed TBs only), and ``shadows`` carries one per-TB
+    the recorded event list of each timed TB (untimed TBs have no entry —
+    the caller replays timed TBs only), and ``shadows`` carries one per-TB
     :class:`ShadowState` (ascending TB order) when ``sanitize`` is set.
-    All functional memory effects happen here, exactly once per thread.
+    All functional memory effects happen here, exactly once per thread;
+    memory events carry lines coalesced at ``line_size`` bytes.
     """
     from ..obs.metrics_registry import registry as _registry
     from ..obs.trace import span as _span
@@ -1539,9 +1544,7 @@ def record_tape_streams(
     block_idxs = np.stack(
         [tb_arange % gx, (tb_arange // gx) % gy, tb_arange // (gx * gy)],
         axis=1)
-    streams: list[list[list[Event]]] = [
-        [[] for _ in range(warps_per_tb)] for _ in range(total_tbs)
-    ]
+    streams: dict[int, list[list[Event]]] = {}
     shadows_out: list[ShadowState] = []
     tbs_per_chunk = max(max_slots // warps_per_tb, 1)
     reg = _registry()
@@ -1574,9 +1577,12 @@ def record_tape_streams(
             shared = WideShared(ntbs, shared_capacity)
             ex = TapeExecutor(program, memory, shared, shared_layout, args,
                               chunk, block, grid, warps_per_tb, timed_local,
-                              shadows)
+                              line_size, shadows)
             ex.run()
-        for tp, slot in enumerate(timed_local.tolist()):
-            tb = chunk_start + slot // warps_per_tb
-            streams[tb][slot % warps_per_tb] = ex.tstreams[tp]
+        # Timed slots come whole-TB and ascending, so each TB's warps are
+        # consecutive entries of ``tstreams``.
+        tstreams = ex.tstreams
+        for pos in range(0, len(tstreams), warps_per_tb):
+            tb = chunk_start + int(timed_local[pos]) // warps_per_tb
+            streams[tb] = tstreams[pos:pos + warps_per_tb]
     return streams, shadows_out

@@ -21,7 +21,7 @@ from repro.options import SimOptions, use_options
 from repro.runtime import Device
 from repro.sim.arch import TITAN_V, TITAN_V_SIM, SMConfig
 from repro.sim.cache import AggregatedTagArray
-from repro.sim.events import SYNC_EVENT, ComputeEvent, MemEvent
+from repro.sim.events import SYNC_EVENT, ComputeEvent, mem_event
 from repro.sim.gpu import GPUEngine
 from repro.sim.metrics import SMMetrics, aggregate_metrics
 from repro.sim.sm import SMEngine
@@ -30,9 +30,13 @@ from repro.sim.sm import SMEngine
 # -- synthetic event streams -------------------------------------------------
 # Drive the engines directly (no interpreter) so the differential below pins
 # the timing model alone: compute bursts, divergent loads that miss L1, a
-# barrier, and a store per warp.
+# barrier, and a store per warp.  Memory events are built the way every
+# producer builds them, so the pinned literals also pin the line ids the
+# timing loop consumes.
 
 def _stream_factory(warps_per_tb=2, insts=24):
+    line = TITAN_V_SIM.cache_line
+
     def factory(tb_id):
         def warp(w):
             base = (tb_id * warps_per_tb + w) * (1 << 16)
@@ -40,10 +44,11 @@ def _stream_factory(warps_per_tb=2, insts=24):
             for j in range(insts):
                 stride = 4 * (1 + (w + j) % 3)
                 addrs = base + j * 128 + np.arange(32, dtype=np.int64) * stride
-                yield MemEvent(addrs, 4, False)
+                yield mem_event(addrs, 4, False, "global", line)
             yield SYNC_EVENT
             yield ComputeEvent(3)
-            yield MemEvent(base + np.arange(32, dtype=np.int64) * 4, 4, True)
+            yield mem_event(base + np.arange(32, dtype=np.int64) * 4, 4, True,
+                            "global", line)
         return [warp(w) for w in range(warps_per_tb)]
     return factory
 
