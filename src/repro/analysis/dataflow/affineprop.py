@@ -1,11 +1,10 @@
 """Constant & affine-form propagation over the kernel CFG (Eq. 5 precision).
 
-The legacy walker in :mod:`repro.analysis.loops` tracks a single
-:class:`~repro.analysis.affine.SymbolicEnv` along its traversal and poisons
-anything it cannot follow syntactically: values merged across ``if`` arms,
+A single environment carried down the AST would have to poison anything it
+cannot follow syntactically: values merged across ``if`` arms,
 strength-reduced secondary inductions whose step is a named constant
-(``c += xy``), and pointer bumps (``p += stride``).  This module replaces
-that single-pass environment with a forward dataflow fixpoint:
+(``c += xy``), and pointer bumps (``p += stride``).  This module computes
+the environment as a forward dataflow fixpoint instead:
 
 * **Lattice.**  Per scalar, an :class:`AffineForm` (⊤ = ``irregular``); per
   pointer local, a :class:`PtrState` — root array plus an affine element
@@ -28,7 +27,8 @@ that single-pass environment with a forward dataflow fixpoint:
 The engine records an environment snapshot per *evaluation site* (statement
 expressions, branch/loop conditions, declarator initializers) keyed by
 ``id(expr)``; :func:`repro.analysis.loops.find_loops` resolves every array
-reference against the snapshot of its enclosing evaluation.
+reference against the snapshot of its enclosing evaluation, so this fixpoint
+is the only source of the index forms the §4.2 analysis consumes.
 """
 
 from __future__ import annotations
@@ -237,6 +237,24 @@ def _self_delta(name: str, value: Expr) -> tuple[int, Expr] | None:
     return None
 
 
+def _assigned_names(stmt: Stmt) -> set[str]:
+    """Scalar names assigned or declared anywhere inside ``stmt``."""
+    names: set[str] = set()
+    for s in statements_in(stmt):
+        if isinstance(s, DeclStmt):
+            for d in s.declarators:
+                names.add(d.name)
+    for e in expressions_in(stmt):
+        if isinstance(e, Assign) and isinstance(e.target, Ident):
+            names.add(e.target.name)
+        elif isinstance(e, PostIncDec) and isinstance(e.operand, Ident):
+            names.add(e.operand.name)
+        elif isinstance(e, UnaryOp) and e.op in ("++", "--") and \
+                isinstance(e.operand, Ident):
+            names.add(e.operand.name)
+    return names
+
+
 def _declared_in_body(stmt: Stmt) -> set[str]:
     """Names (re)declared inside the loop body — reset every iteration, so
     never induction variables of this loop."""
@@ -267,8 +285,6 @@ class AffineFlow:
     def __init__(self, kernel: FunctionDef,
                  block_dim: tuple[int, int, int] | None = None,
                  grid_dim: tuple[int, int, int] | None = None):
-        from ..loops import _assigned_names  # runtime import: no cycle
-
         self.kernel = kernel
         self.block_dim = block_dim
         self.grid_dim = grid_dim
@@ -357,7 +373,7 @@ class AffineFlow:
             inductions={n: f for n, f in steps.items() if n != iterator},
         )
 
-        # Pin the iterator (mirrors the legacy walker's binding rule).
+        # Pin the iterator to start + iter * step.
         if iterator is not None:
             base = start if start is not None else AffineForm.unknown()
             if step_int is not None:
@@ -388,8 +404,8 @@ class AffineFlow:
 
     def _loop_iterator(self, stmt: Stmt, pre: FlowEnv,
                        steps: dict[str, AffineForm]):
-        """Iterator name, start and bound forms (legacy `_for_header`
-        semantics, evaluated in the preheader fixpoint)."""
+        """Iterator name, start and bound forms, evaluated in the preheader
+        fixpoint."""
         if isinstance(stmt, ForStmt):
             iterator = None
             start = None

@@ -68,18 +68,11 @@ from ...frontend.ast_nodes import (
     statements_in,
     walk_expr,
 )
-from ..affine import (
-    TIDX,
-    TIDY,
-    TIDZ,
-    AffineForm,
-    SymbolicEnv,
-    analyze_expr,
-)
-from .affineprop import AffineFlow, ptr_state_of
+from ...sim.arch import as_dim3
+from ..affine import TIDX, TIDY, TIDZ, AffineForm, analyze_expr
+from .affineprop import ptr_state_of
 from .cfg import DECL, EVAL, SYNC, CFGLoop
 from .safety import (
-    _guard_env,
     _iterator_trips,
     _line_of,
     cond_always_true,
@@ -180,7 +173,7 @@ class RaceReport:
 
 def _thread_dep_guard(node: IfStmt, flow, block_dim, grid_dim, trips,
                       child) -> bool:
-    env = _guard_env(flow, node.cond, block_dim, grid_dim)
+    env = flow.env_sites[id(node.cond)]
     if cond_tb_uniform(node.cond, env):
         return False
     if child is node.then and cond_always_true(
@@ -392,7 +385,7 @@ def _guarded_exprs(kernel, flow, block_dim, grid_dim, trips,
 
     for stmt in statements_in(kernel.body):
         if isinstance(stmt, IfStmt):
-            env = _guard_env(flow, stmt.cond, block_dim, grid_dim)
+            env = flow.env_sites[id(stmt.cond)]
             if cond_tb_uniform(stmt.cond, env):
                 continue
             then_ok = cond_always_true(stmt.cond, env, block_dim, grid_dim,
@@ -413,10 +406,9 @@ def _guarded_exprs(kernel, flow, block_dim, grid_dim, trips,
 class _Collector:
     """Resolve every array reference of one expression into AccessSites."""
 
-    def __init__(self, shared_dims, env, fallback):
+    def __init__(self, shared_dims, env):
         self.shared_dims = shared_dims
         self.env = env
-        self.fallback = fallback
         self.out: list[tuple] = []   # (array, space, form, r, w, atomic, line)
 
     def _flatten_shared(self, name: str, indexes: list[Expr],
@@ -450,9 +442,7 @@ class _Collector:
         return None
 
     def visit(self, site_expr: Expr) -> None:
-        env = self.fallback
-        if self.env is not None:
-            env = self.env.get(id(site_expr), self.fallback)
+        env = self.env
         writes: dict[int, bool] = {}    # id(ArrayRef) -> also-reads
         atomics: set[int] = set()
         inner: set[int] = set()
@@ -486,9 +476,8 @@ class _Collector:
                                  line))
 
 
-def _collect_accesses(kernel, flow, graph: _SegmentGraph, separating,
-                      guarded_ids, shared_dims, fallback) -> list[AccessSite]:
-    env_sites = getattr(flow, "env_sites", None) if flow is not None else None
+def _collect_accesses(flow, graph: _SegmentGraph, separating,
+                      guarded_ids, shared_dims) -> list[AccessSite]:
     out: list[AccessSite] = []
     for b in graph.cfg.blocks:
         segs = graph.block_segs[b.id]
@@ -505,7 +494,7 @@ def _collect_accesses(kernel, flow, graph: _SegmentGraph, separating,
                 exprs.extend(d.init for d in action.node.declarators
                              if d.init is not None)
             for e in exprs:
-                c = _Collector(shared_dims, env_sites, fallback)
+                c = _Collector(shared_dims, flow.env_sites[id(e)])
                 c.visit(e)
                 for array, space, form, r, w, atomic, line in c.out:
                     out.append(AccessSite(
@@ -552,7 +541,7 @@ class _Prover:
     def __init__(self, analysis, flow, graph: _SegmentGraph):
         self.graph = graph
         self.cfg = graph.cfg
-        self.block_dim = _normalize_dim(analysis.block_dim)
+        self.block_dim = as_dim3(analysis.block_dim)
         self.trips = _iterator_trips(analysis.kernel_loops)
         # loop stmt id -> (iterator, trip or None, barrier-strict)
         self.loop_facts: dict[int, tuple[str | None, int | None, bool]] = {}
@@ -750,13 +739,6 @@ class _Prover:
         return True
 
 
-def _normalize_dim(dim) -> tuple[int, int, int]:
-    if isinstance(dim, int):
-        return (dim, 1, 1)
-    t = tuple(dim)
-    return (t + (1, 1, 1))[:3]
-
-
 def _mesh_nonzero(axis_sets: list[np.ndarray],
                   dims: tuple[int, int, int]) -> np.ndarray | None:
     """Values of Σ cᵢ·Δᵢ over Δ ≠ (0,0,0), |Δᵢ| < dimᵢ.
@@ -789,8 +771,10 @@ def analyze_races(analysis) -> RaceReport:
     """Classify every (array, barrier interval) pair of one analyzed kernel.
 
     ``analysis`` is a :class:`~repro.analysis.kernel_info.KernelAnalysis`;
-    the dataflow fixpoint (``analysis.kernel_loops.flow``) supplies the CFG
-    and per-site affine environments.  Verdict counts are published as
+    its dataflow fixpoint (``analysis.kernel_loops.flow``, the one the loop
+    analysis read its index forms from) supplies the CFG, the launch shape
+    and the per-site affine environments.  A failure propagates to the
+    caller.  Verdict counts are published as
     ``race.proved_safe`` / ``race.proved_race`` / ``race.unknown``.
     """
     cached = getattr(analysis, "_race_report", None)
@@ -798,11 +782,9 @@ def analyze_races(analysis) -> RaceReport:
         return cached
     kernel = analysis.kernel
     kl = analysis.kernel_loops
-    flow = getattr(kl, "flow", None)
-    block_dim = _normalize_dim(analysis.block_dim)
-    if flow is None:
-        flow = AffineFlow(kernel, block_dim=block_dim)
-    grid_dim = getattr(flow, "grid_dim", None)
+    flow = kl.flow
+    block_dim = as_dim3(analysis.block_dim)
+    grid_dim = flow.grid_dim
 
     separating = _separating_syncs(kernel, kl, flow, block_dim, grid_dim)
     graph = _SegmentGraph(flow.cfg, separating)
@@ -810,10 +792,8 @@ def analyze_races(analysis) -> RaceReport:
     recs_by_stmt = {id(r.stmt): r for r in kl.loops}
     guarded_ids = _guarded_exprs(kernel, flow, block_dim, grid_dim, trips,
                                  recs_by_stmt)
-    shared_dims = _shared_dims(kernel)
-    fallback = SymbolicEnv(block_dim=block_dim, grid_dim=grid_dim)
-    accesses = _collect_accesses(kernel, flow, graph, separating,
-                                 guarded_ids, shared_dims, fallback)
+    accesses = _collect_accesses(flow, graph, separating, guarded_ids,
+                                 _shared_dims(kernel))
 
     prover = _Prover(analysis, flow, graph)
     regions: dict[tuple[str, int], list[AccessSite]] = {}
@@ -832,10 +812,7 @@ def analyze_races(analysis) -> RaceReport:
                         intervals=len(set(graph.interval)),
                         verdicts=tuple(verdicts))
     _publish(report)
-    try:
-        analysis._race_report = report
-    except Exception:
-        pass
+    analysis._race_report = report
     return report
 
 

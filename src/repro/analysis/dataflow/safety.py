@@ -263,15 +263,6 @@ def _iterator_trips(kernel_loops) -> dict[str, int]:
     return trips
 
 
-def _guard_env(flow, cond: Expr,
-               block_dim, grid_dim) -> SymbolicEnv:
-    if flow is not None:
-        env = flow.env_sites.get(id(cond))
-        if env is not None:
-            return env
-    return SymbolicEnv(block_dim=block_dim, grid_dim=grid_dim)
-
-
 def _shared_writes_in(stmt: Stmt, shared: set[str]) -> list[str]:
     out = []
     from ...frontend.ast_nodes import expressions_in
@@ -345,9 +336,9 @@ def verify_warp_split(analysis, la) -> SafetyVerdict:
     rec = la.record
     kernel = analysis.kernel
     kl = analysis.kernel_loops
-    flow = getattr(kl, "flow", None)
+    flow = kl.flow
     block_dim = analysis.block_dim
-    grid_dim = getattr(flow, "grid_dim", None) if flow is not None else None
+    grid_dim = flow.grid_dim
     trips = _iterator_trips(kl)
     reasons: list[str] = []
 
@@ -364,7 +355,7 @@ def verify_warp_split(analysis, la) -> SafetyVerdict:
     for node, child in zip(path, path[1:]):
         if not isinstance(node, IfStmt):
             continue
-        env = _guard_env(flow, node.cond, block_dim, grid_dim)
+        env = flow.env_sites[id(node.cond)]
         if child is node.otherwise:
             # else-branch: a range proof of the *negation* is not attempted.
             if not cond_tb_uniform(node.cond, env):
@@ -640,9 +631,9 @@ def findings_for_analysis(analysis) -> list[LintFinding]:
 def _barrier_findings(analysis, code: str) -> list[LintFinding]:
     kernel = analysis.kernel
     kl = analysis.kernel_loops
-    flow = getattr(kl, "flow", None)
+    flow = kl.flow
     block_dim = analysis.block_dim
-    grid_dim = getattr(flow, "grid_dim", None) if flow is not None else None
+    grid_dim = flow.grid_dim
     trips = _iterator_trips(kl)
     recs_by_stmt = {id(r.stmt): r for r in kl.loops}
     out: list[LintFinding] = []
@@ -652,7 +643,7 @@ def _barrier_findings(analysis, code: str) -> list[LintFinding]:
         path = path_to_stmt(kernel.body, stmt) or ()
         for node, child in zip(path, path[1:]):
             if isinstance(node, IfStmt):
-                env = _guard_env(flow, node.cond, block_dim, grid_dim)
+                env = flow.env_sites[id(node.cond)]
                 if cond_tb_uniform(node.cond, env):
                     continue
                 if child is node.then and cond_always_true(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..errors import BudgetExceededError
 from ..frontend.ast_nodes import FunctionDef, TranslationUnit
-from ..sim.arch import KB, GPUSpec
+from ..sim.arch import KB, GPUSpec, as_dim3
 from .footprint import LoopFootprint, loop_footprint
 from .locality import AccessLocality, classify_loop, loop_has_reuse
 from .loops import KernelLoops, LoopRecord, find_loops
@@ -121,13 +121,6 @@ class KernelAnalysis:
         return self.loop(loop_id).decision.tlp
 
 
-def _as_dim3(value) -> tuple[int, int, int]:
-    if isinstance(value, int):
-        return (value, 1, 1)
-    value = tuple(value)
-    return (value + (1, 1, 1))[:3]
-
-
 def analyze_kernel(
     unit: TranslationUnit,
     kernel_name: str,
@@ -148,8 +141,8 @@ def analyze_kernel(
     from ..obs.trace import span
 
     kernel = unit.kernel(kernel_name)
-    block3 = _as_dim3(block)
-    grid3 = _as_dim3(grid) if grid is not None else None
+    block3 = as_dim3(block)
+    grid3 = as_dim3(grid) if grid is not None else None
     threads = block3[0] * block3[1] * block3[2]
 
     shared0 = shared_usage_bytes(kernel)

@@ -1,9 +1,11 @@
 """Loop discovery and memory-access collection.
 
-Walks a kernel body with a :class:`~repro.analysis.affine.SymbolicEnv`,
-recording every loop and the off-chip memory references executed inside it.
-This is the front half of §4.2: the back half (coalescing, footprints,
-throttling factors) consumes the :class:`LoopRecord` list produced here.
+Walks a kernel body over the
+:class:`~repro.analysis.dataflow.affineprop.AffineFlow` fixpoint, recording
+every loop and the off-chip memory references executed inside it, each with
+the affine index form the fixpoint proves at its evaluation site.  This is
+the front half of §4.2: the back half (coalescing, footprints, throttling
+factors) consumes the :class:`LoopRecord` list produced here.
 
 Only *global-pointer* dereferences count as off-chip accesses; ``__shared__``
 and per-thread local arrays stay on chip.  References are de-duplicated per
@@ -30,16 +32,14 @@ from ..frontend.ast_nodes import (
     FunctionDef,
     Ident,
     IfStmt,
-    IntLit,
-    PostIncDec,
     ReturnStmt,
     Stmt,
     SyncthreadsStmt,
-    UnaryOp,
     WhileStmt,
     walk_expr,
 )
-from .affine import AffineForm, SymbolicEnv, analyze_expr
+from .affine import AffineForm, analyze_expr
+from .dataflow.affineprop import AffineFlow, FlowEnv, ptr_state_of
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class KernelLoops:
     global_pointers: dict[str, int]   # name -> element size
     shared_arrays: set[str]
     local_arrays: set[str]
-    flow: object | None = None        # AffineFlow when dataflow mode was used
+    flow: AffineFlow                  # the fixpoint the index forms come from
 
     def top_level(self) -> list[LoopRecord]:
         return [l for l in self.loops if l.depth == 0]
@@ -120,19 +120,16 @@ class KernelLoops:
 
 
 class _Walker:
-    """Collects loops and accesses.
+    """Collects loops and accesses from an
+    :class:`~repro.analysis.dataflow.affineprop.AffineFlow` fixpoint.
 
-    In *dataflow mode* (``flow`` is an
-    :class:`~repro.analysis.dataflow.affineprop.AffineFlow`), index forms are
-    resolved against the fixpoint environment snapshot of each evaluation
-    site and loop headers come from the flow's induction recognition; the
-    walker's own single-pass ``env`` is left untouched.  Without ``flow``
-    the legacy one-pass symbolic walk is used.
+    Index forms are resolved against the fixpoint environment snapshot of
+    each evaluation site, and loop headers come from the flow's induction
+    recognition; the walker itself only tracks loop nesting and name
+    classes.
     """
 
-    def __init__(self, kernel: FunctionDef, env: SymbolicEnv, flow=None):
-        self.kernel = kernel
-        self.env = env
+    def __init__(self, kernel: FunctionDef, flow: AffineFlow):
         self.flow = flow
         self.loops: list[LoopRecord] = []
         self.stack: list[LoopRecord] = []
@@ -151,21 +148,12 @@ class _Walker:
         elif isinstance(stmt, DeclStmt):
             self._walk_decl(stmt)
         elif isinstance(stmt, ExprStmt):
-            self._collect(stmt.expr, store_target=None)
-            self._apply_assignment(stmt.expr)
+            self._collect(stmt.expr)
         elif isinstance(stmt, IfStmt):
-            self._collect(stmt.cond, store_target=None)
+            self._collect(stmt.cond)
             self.walk_stmt(stmt.then)
             if stmt.otherwise is not None:
                 self.walk_stmt(stmt.otherwise)
-            if self.flow is None:
-                # Legacy: anything assigned in either arm is unknown after
-                # the join.  (Dataflow mode joins pointwise instead.)
-                assigned = _assigned_names(stmt.then)
-                if stmt.otherwise is not None:
-                    assigned |= _assigned_names(stmt.otherwise)
-                for name in assigned:
-                    self.env.poison(name)
         elif isinstance(stmt, (ForStmt, WhileStmt, DoWhileStmt)):
             self._walk_loop(stmt)
         elif isinstance(stmt, SyncthreadsStmt):
@@ -173,7 +161,7 @@ class _Walker:
                 rec.contains_sync = True
         elif isinstance(stmt, ReturnStmt):
             if stmt.value is not None:
-                self._collect(stmt.value, store_target=None)
+                self._collect(stmt.value)
         # Break/Continue/Empty: nothing to track.
 
     def _walk_decl(self, stmt: DeclStmt) -> None:
@@ -184,161 +172,47 @@ class _Walker:
             if d.array_sizes:
                 self.local_arrays.add(d.name)
                 continue
-            if stmt.type.is_pointer:
-                # Pointer locals: treat as an alias of the root array when
-                # initialized from one; otherwise unknown.  (Dataflow mode
-                # additionally tracks the element offset via PtrState.)
-                if d.init is not None:
-                    self._collect(d.init, store_target=None)
-                    root = _root_pointer(d.init)
-                    if root is not None and root in self.global_pointers:
-                        self.global_pointers[d.name] = self.global_pointers[root]
-                if self.flow is None:
-                    self.env.poison(d.name)
+            if d.init is None:
                 continue
-            if d.init is not None:
-                self._collect(d.init, store_target=None)
-                if self.flow is None:
-                    self.env.bind(d.name, analyze_expr(d.init, self.env))
-            elif self.flow is None:
-                self.env.poison(d.name)
-
-    def _apply_assignment(self, expr: Expr) -> None:
-        """Update the symbolic env for scalar assignments (legacy mode)."""
-        if self.flow is not None:
-            return  # dataflow transfer functions own the environment
-        if isinstance(expr, Assign) and isinstance(expr.target, Ident):
-            name = expr.target.name
-            if expr.op == "=":
-                self.env.bind(name, analyze_expr(expr.value, self.env))
-            else:
-                old = self.env.lookup(name)
-                delta = analyze_expr(expr.value, self.env)
-                op = expr.op[:-1]
-                if op == "+":
-                    self.env.bind(name, old + delta)
-                elif op == "-":
-                    self.env.bind(name, old - delta)
-                elif op == "*":
-                    self.env.bind(name, old * delta)
-                else:
-                    self.env.poison(name)
-        elif isinstance(expr, PostIncDec) and isinstance(expr.operand, Ident):
-            name = expr.operand.name
-            one = AffineForm.constant(1 if expr.op == "++" else -1)
-            self.env.bind(name, self.env.lookup(name) + one)
-        elif isinstance(expr, UnaryOp) and expr.op in ("++", "--") and \
-                isinstance(expr.operand, Ident):
-            name = expr.operand.name
-            one = AffineForm.constant(1 if expr.op == "++" else -1)
-            self.env.bind(name, self.env.lookup(name) + one)
+            self._collect(d.init)
+            if stmt.type.is_pointer:
+                # Pointer locals initialized from a global array alias it
+                # (the flow tracks the element offset via PtrState).
+                root = _root_pointer(d.init)
+                if root is not None and root in self.global_pointers:
+                    self.global_pointers[d.name] = self.global_pointers[root]
 
     # -- loops --------------------------------------------------------------
     def _walk_loop(self, stmt: ForStmt | WhileStmt | DoWhileStmt) -> None:
-        iterator = None
-        step = None
-        start = None
-        bound = None
-        body = stmt.body
-        if isinstance(stmt, ForStmt):
-            if stmt.init is not None:
-                self.walk_stmt(stmt.init)
-            if self.flow is None:
-                iterator, step, start, bound = self._for_header(stmt)
-        if self.flow is not None:
-            meta = self.flow.loop_meta.get(id(stmt))
-            if meta is not None:
-                iterator, step = meta.iterator, meta.step
-                start, bound = meta.start, meta.bound
-
-        loop_id = len(self.loops)
+        if isinstance(stmt, ForStmt) and stmt.init is not None:
+            self.walk_stmt(stmt.init)
+        meta = self.flow.loop_meta[id(stmt)]
         rec = LoopRecord(
-            loop_id=loop_id,
+            loop_id=len(self.loops),
             depth=len(self.stack),
             parent_id=self.stack[-1].loop_id if self.stack else None,
-            iterator=iterator,
-            step=step,
-            start=start,
-            bound=bound,
+            iterator=meta.iterator,
+            step=meta.step,
+            start=meta.start,
+            bound=meta.bound,
             stmt=stmt,
         )
         self.loops.append(rec)
-
-        saved: dict[str, AffineForm | None] = {}
-        assigned: set[str] = set()
-        if self.flow is None:
-            assigned = _assigned_names(body)
-            inductions = _induction_steps(body) if iterator is not None else {}
-            if iterator is not None:
-                saved[iterator] = self.env.bindings.get(iterator)
-                base = start if start is not None else AffineForm.unknown()
-                self.env.bind(
-                    iterator,
-                    base + AffineForm.symbol(iterator, 1) * AffineForm.constant(step or 1)
-                    if step is not None else AffineForm.symbol(iterator),
-                )
-            # Secondary induction variables: x += c once per iteration means
-            # x = x0 + iter * c inside the body.
-            for name, inc in inductions.items():
-                if name == iterator or name not in assigned:
-                    continue
-                saved.setdefault(name, self.env.bindings.get(name))
-                base = self.env.lookup(name)
-                self.env.bind(
-                    name, base + AffineForm.symbol(iterator or "?iter") * inc
-                )
-            # Everything else assigned in the body is loop-variant: poison.
-            for name in assigned:
-                if name == iterator or name in inductions:
-                    continue
-                saved.setdefault(name, self.env.bindings.get(name))
-                self.env.poison(name)
 
         self.stack.append(rec)
         # Loop conditions and steps re-execute every iteration: their memory
         # accesses belong to the loop (e.g. BFS's `e < starts[tid+1]`).
         if stmt.cond is not None:
-            self._collect(stmt.cond, store_target=None)
-        self.walk_stmt(body)
+            self._collect(stmt.cond)
+        self.walk_stmt(stmt.body)
         if isinstance(stmt, ForStmt) and stmt.step is not None:
-            self._collect(stmt.step, store_target=None)
+            self._collect(stmt.step)
         self.stack.pop()
 
-        # After the loop every assigned variable has an unknown final value.
-        if self.flow is None:
-            for name in set(saved) | assigned:
-                self.env.poison(name)
-
-    def _for_header(self, stmt: ForStmt):
-        iterator = None
-        start = None
-        if isinstance(stmt.init, DeclStmt) and len(stmt.init.declarators) == 1:
-            d = stmt.init.declarators[0]
-            if not d.array_sizes:
-                iterator = d.name
-                if d.init is not None:
-                    start = analyze_expr(d.init, self.env)
-        elif isinstance(stmt.init, ExprStmt) and isinstance(stmt.init.expr, Assign):
-            a = stmt.init.expr
-            if a.op == "=" and isinstance(a.target, Ident):
-                iterator = a.target.name
-                start = analyze_expr(a.value, self.env)
-        step = _step_of(stmt.step, iterator) if iterator else None
-        bound = None
-        if iterator and isinstance(stmt.cond, BinOp) and \
-                stmt.cond.op in ("<", "<=", ">", ">=", "!="):
-            if isinstance(stmt.cond.left, Ident) and stmt.cond.left.name == iterator:
-                bound = analyze_expr(stmt.cond.right, self.env)
-            elif isinstance(stmt.cond.right, Ident) and stmt.cond.right.name == iterator:
-                bound = analyze_expr(stmt.cond.left, self.env)
-            if bound is not None and stmt.cond.op == "<=":
-                bound = bound + AffineForm.constant(1)
-        return iterator, step, start, bound
-
     # -- expression scanning -------------------------------------------------
-    def _collect(self, expr: Expr, store_target: Expr | None = None) -> None:
+    def _collect(self, expr: Expr) -> None:
         """Record every off-chip array reference in ``expr``."""
-        env = self._env_at(expr)
+        env = self.flow.env_sites[id(expr)]
         store_targets: dict[int, bool] = {}
         for node in walk_expr(expr):
             if isinstance(node, Assign) and isinstance(node.target, ArrayRef):
@@ -351,26 +225,14 @@ class _Walker:
                 else:
                     self._record(node, is_read=True, is_write=False, env=env)
 
-    def _env_at(self, expr: Expr) -> SymbolicEnv:
-        """Environment in force at an evaluation site (dataflow snapshot when
-        available, the walker's single-pass env otherwise)."""
-        if self.flow is not None:
-            site = self.flow.env_sites.get(id(expr))
-            if site is not None:
-                return site
-        return self.env
-
     def _record(self, ref: ArrayRef, is_read: bool, is_write: bool,
-                env: SymbolicEnv | None = None) -> None:
-        env = env if env is not None else self.env
+                env: FlowEnv) -> None:
         root, index_expr = _flatten_ref(ref)
         form = None
-        if self.flow is not None and not isinstance(ref.base, ArrayRef):
-            # Dataflow mode: resolve the base through pointer states, so a
-            # strength-reduced `pivot[0]` lands on its root array with the
-            # accumulated element offset.
-            from .dataflow.affineprop import ptr_state_of
-
+        if not isinstance(ref.base, ArrayRef):
+            # Resolve the base through pointer states, so a strength-reduced
+            # `pivot[0]` lands on its root array with the accumulated
+            # element offset.
             ps = ptr_state_of(ref.base, env)
             if ps is not None and ps.root is not None:
                 root = ps.root
@@ -421,119 +283,20 @@ def _root_pointer(expr: Expr) -> str | None:
     return None
 
 
-def _step_of(step_expr: Expr | None, iterator: str) -> int | None:
-    if step_expr is None:
-        return None
-    if isinstance(step_expr, PostIncDec):
-        if isinstance(step_expr.operand, Ident) and step_expr.operand.name == iterator:
-            return 1 if step_expr.op == "++" else -1
-    if isinstance(step_expr, UnaryOp) and step_expr.op in ("++", "--"):
-        if isinstance(step_expr.operand, Ident) and step_expr.operand.name == iterator:
-            return 1 if step_expr.op == "++" else -1
-    if isinstance(step_expr, Assign) and isinstance(step_expr.target, Ident) \
-            and step_expr.target.name == iterator:
-        if step_expr.op in ("+=", "-=") and isinstance(step_expr.value, IntLit):
-            sign = 1 if step_expr.op == "+=" else -1
-            return sign * step_expr.value.value
-        if step_expr.op == "=" and isinstance(step_expr.value, BinOp):
-            b = step_expr.value
-            if b.op in ("+", "-") and isinstance(b.left, Ident) and \
-                    b.left.name == iterator and isinstance(b.right, IntLit):
-                return b.right.value if b.op == "+" else -b.right.value
-    return None
-
-
-def _assigned_names(stmt: Stmt) -> set[str]:
-    """Scalar names assigned anywhere inside ``stmt``."""
-    from ..frontend.ast_nodes import expressions_in, statements_in
-
-    names: set[str] = set()
-    for s in statements_in(stmt):
-        if isinstance(s, DeclStmt):
-            for d in s.declarators:
-                names.add(d.name)
-    for e in _exprs_in(stmt):
-        if isinstance(e, Assign) and isinstance(e.target, Ident):
-            names.add(e.target.name)
-        elif isinstance(e, PostIncDec) and isinstance(e.operand, Ident):
-            names.add(e.operand.name)
-        elif isinstance(e, UnaryOp) and e.op in ("++", "--") and \
-                isinstance(e.operand, Ident):
-            names.add(e.operand.name)
-    return names
-
-
-def _exprs_in(stmt: Stmt):
-    from ..frontend.ast_nodes import expressions_in
-
-    yield from expressions_in(stmt)
-
-
-def _induction_steps(body: Stmt) -> dict[str, AffineForm]:
-    """Names updated exactly once per iteration by a constant step.
-
-    Recognizes ``x += c``, ``x -= c``, ``x++``, ``x--`` at any nesting depth,
-    requiring exactly one update and no other assignment; the constant may be
-    any loop-invariant affine form.
-    """
-    updates: dict[str, list[AffineForm | None]] = {}
-    for e in _exprs_in(body):
-        if isinstance(e, Assign) and isinstance(e.target, Ident):
-            name = e.target.name
-            entry = updates.setdefault(name, [])
-            if e.op == "+=":
-                entry.append(_const_form(e.value))
-            elif e.op == "-=":
-                f = _const_form(e.value)
-                entry.append(-f if f is not None else None)
-            else:
-                entry.append(None)
-        elif isinstance(e, PostIncDec) and isinstance(e.operand, Ident):
-            entry = updates.setdefault(e.operand.name, [])
-            entry.append(AffineForm.constant(1 if e.op == "++" else -1))
-        elif isinstance(e, UnaryOp) and e.op in ("++", "--") and \
-                isinstance(e.operand, Ident):
-            entry = updates.setdefault(e.operand.name, [])
-            entry.append(AffineForm.constant(1 if e.op == "++" else -1))
-    out: dict[str, AffineForm] = {}
-    for name, entries in updates.items():
-        if len(entries) == 1 and entries[0] is not None:
-            out[name] = entries[0]
-    return out
-
-
-def _const_form(expr: Expr) -> AffineForm | None:
-    if isinstance(expr, IntLit):
-        return AffineForm.constant(expr.value)
-    if isinstance(expr, UnaryOp) and expr.op == "-" and isinstance(expr.operand, IntLit):
-        return AffineForm.constant(-expr.operand.value)
-    return None
-
-
 def find_loops(
     kernel: FunctionDef,
     block_dim: tuple[int, int, int] | None = None,
     grid_dim: tuple[int, int, int] | None = None,
-    dataflow: bool = True,
 ) -> KernelLoops:
     """Walk ``kernel`` and return its loops with collected accesses.
 
-    With ``dataflow=True`` (the default), index forms come from the forward
-    dataflow fixpoint of :class:`repro.analysis.dataflow.AffineFlow`, which
-    follows intermediate scalars, if-join-equal values, strength-reduced
-    secondary inductions and pointer bumps.  Any failure in the dataflow
-    engine falls back to the legacy single-pass walk.
+    Index forms come from the forward dataflow fixpoint of
+    :class:`repro.analysis.dataflow.AffineFlow`, which follows intermediate
+    scalars, if-join-equal values, strength-reduced secondary inductions and
+    pointer bumps.  A failure inside the fixpoint propagates to the caller.
     """
-    flow = None
-    if dataflow:
-        try:
-            from .dataflow.affineprop import AffineFlow
-
-            flow = AffineFlow(kernel, block_dim=block_dim, grid_dim=grid_dim)
-        except Exception:
-            flow = None  # degrade to the legacy walk
-    env = SymbolicEnv(block_dim=block_dim, grid_dim=grid_dim)
-    walker = _Walker(kernel, env, flow=flow)
+    flow = AffineFlow(kernel, block_dim=block_dim, grid_dim=grid_dim)
+    walker = _Walker(kernel, flow)
     walker.walk_stmt(kernel.body)
     return KernelLoops(
         kernel=kernel,

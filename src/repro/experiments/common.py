@@ -111,7 +111,7 @@ class ResultCache:
     forensics are preserved.
     """
 
-    VERSION = 5  # bump to invalidate stale caches after model changes
+    VERSION = 6  # bump to invalidate stale caches after model changes
 
     def __init__(self, path: str | Path | None = None):
         if path is None:

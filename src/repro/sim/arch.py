@@ -12,6 +12,14 @@ from dataclasses import dataclass, field, replace
 KB = 1024
 
 
+def as_dim3(value) -> tuple[int, int, int]:
+    """An int or a 1–3 element sequence as a ``dim3`` triple (missing axes
+    are 1)."""
+    if isinstance(value, int):
+        return (value, 1, 1)
+    return (tuple(value) + (1, 1, 1))[:3]
+
+
 @dataclass(frozen=True)
 class TimingModel:
     """Latency/bandwidth parameters for the event-driven timing model.

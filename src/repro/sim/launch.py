@@ -29,7 +29,7 @@ from ..obs.trace import span as _span
 # through with a DeprecationWarning.  ENGINE_ENV / DEDUP_ENV are re-exported
 # here for backward compatibility.
 from ..options import DEDUP_ENV, ENGINE_ENV, current_options  # noqa: F401
-from .arch import GPUSpec, SMConfig
+from .arch import GPUSpec, SMConfig, as_dim3
 from .cache import CacheStats
 from .compile import CompiledWarp, compile_kernel
 from .interp import (
@@ -53,13 +53,6 @@ def _engine_choice() -> str:
 
 def _dedup_enabled() -> bool:
     return current_options().dedup
-
-
-def _as_dim3(value) -> Dim3:
-    if isinstance(value, int):
-        return (value, 1, 1)
-    value = tuple(value)
-    return (value + (1, 1, 1))[:3]
 
 
 @dataclass(frozen=True)
@@ -334,7 +327,7 @@ def _launch_kernel(
         l1_ata = current_options().l1_ata
 
     kernel = unit.kernel(kernel_name)
-    grid3, block3 = _as_dim3(grid), _as_dim3(block)
+    grid3, block3 = as_dim3(grid), as_dim3(block)
     threads_per_tb = block3[0] * block3[1] * block3[2]
 
     occ = compute_occupancy(

@@ -86,8 +86,9 @@ class KernelTransform:
     reverted: bool = False                      # validation gate said no
     validation: ValidationReport | None = None
     # Barrier-interval race verdicts (repro.analysis.dataflow.races); None
-    # when the race analysis could not run.  A shared PROVED-RACE region
-    # blocks warp-split and TB-throttle for the kernel (race_blocked).
+    # when the race analysis failed.  A shared PROVED-RACE region, or a
+    # failed analysis, blocks warp-split and TB-throttle for the kernel
+    # (race_blocked).
     race_report: object | None = None
     race_blocked: bool = False
 
@@ -264,13 +265,20 @@ def _catt_compile(
         # A proved cross-thread race on a shared region means the kernel's
         # correctness already depends on scheduling; reordering execution
         # (warp split) or changing residency (TB throttle) could flip the
-        # observed outcome, so both transforms are blocked.
+        # observed outcome, so both transforms are blocked.  Without
+        # verdicts nothing is proved race-free, so a crash blocks them too.
         try:
             from ..analysis.dataflow.races import analyze_races
 
             record.race_report = analyze_races(analysis)
-        except Exception:
-            record.race_report = None
+        except Exception as exc:
+            if not resilient:
+                raise
+            record.race_blocked = True
+            log.emit(E_ANALYSIS, "analysis",
+                     f"race analysis failed: {exc}; warp-split and "
+                     f"TB-throttle blocked", kernel=name,
+                     elapsed=time.perf_counter() - t0, exc=exc)
         if record.race_report is not None:
             proved = record.race_report.races("shared")
             if proved:
@@ -316,9 +324,9 @@ def _catt_compile(
                         spec.warp_size,
                     )
                 except WarpSplitError as exc:
-                    # Expected degradation: the loop object was restructured
-                    # by an earlier transform (tiling) — its footprint has
-                    # changed anyway; skip this loop only.
+                    # Expected degradation: the loop holds a barrier, or an
+                    # earlier transform (tiling) restructured the loop
+                    # object; skip this loop only.
                     log.emit(I_SKIP_LOOP, "transform",
                              f"warp split skipped: {exc}", kernel=name,
                              loop_id=la.record.loop_id)

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..analysis.occupancy import shared_usage_bytes
 from ..frontend.ast_nodes import FunctionDef, TranslationUnit
+from ..sim.arch import as_dim3
 from ..sim.events import SyncEvent
 from ..sim.interp import (
     KernelArgs,
@@ -87,13 +88,6 @@ class _FunctionalRun:
     events: int
 
 
-def _as_dim3(value) -> tuple[int, int, int]:
-    if isinstance(value, int):
-        return (value, 1, 1)
-    value = tuple(value)
-    return (value + (1, 1, 1))[:3]
-
-
 def synthesize_inputs(
     kernel: FunctionDef,
     grid,
@@ -108,7 +102,7 @@ def synthesize_inputs(
     executor) and ``host_arrays`` maps pointer-parameter names to their
     initial contents.
     """
-    grid3, block3 = _as_dim3(grid), _as_dim3(block)
+    grid3, block3 = as_dim3(grid), as_dim3(block)
     threads = (grid3[0] * grid3[1] * grid3[2]
                * block3[0] * block3[1] * block3[2])
     if elems is None:
@@ -153,7 +147,7 @@ def run_functional(
     the same way on every call.
     """
     kernel = unit.kernel(kernel_name)
-    grid3, block3 = _as_dim3(grid), _as_dim3(block)
+    grid3, block3 = as_dim3(grid), as_dim3(block)
     threads_per_tb = block3[0] * block3[1] * block3[2]
     warps_per_tb = max(-(-threads_per_tb // WARP_SIZE), 1)
 

@@ -23,6 +23,7 @@ from ..frontend.ast_nodes import (
     IntLit,
     Stmt,
     SyncthreadsStmt,
+    statements_in,
 )
 from .utils import linear_warp_id_expr, replace_stmt, with_body
 
@@ -38,13 +39,18 @@ def split_loop_for_warp_groups(
     """Return ``kernel`` with ``loop_stmt`` split into ``n`` warp groups.
 
     ``loop_stmt`` must be a statement object from ``kernel``'s body (identity
-    matching).  ``n`` must divide ``warps_per_tb``; violations raise
+    matching).  ``n`` must divide ``warps_per_tb``, and the loop must hold no
+    ``__syncthreads()``: each guarded copy runs for one warp group only, so a
+    barrier inside it would sit in warp-divergent code.  Violations raise
     :class:`repro.errors.WarpSplitError` (a ``ValueError`` subclass).
     """
     if n <= 1:
         return kernel
     if warps_per_tb % n != 0:
         raise WarpSplitError(f"N={n} does not divide warps/TB={warps_per_tb}")
+    if any(isinstance(s, SyncthreadsStmt) for s in statements_in(loop_stmt)):
+        raise WarpSplitError("loop contains __syncthreads(); its warp-group "
+                             "copies would put the barrier in divergent code")
     group = warps_per_tb // n
     wid = linear_warp_id_expr(block_dim, warp_size)
     pieces: list[Stmt] = []

@@ -1,6 +1,6 @@
 """Forward dataflow framework tests: CFG lowering, the worklist fixpoint,
-constant/affine propagation through joins, induction recognition, and the
-before/after precision gains on previously-irregular workload kernels."""
+constant/affine propagation through joins, induction recognition, and exact
+index forms on strength-reduced workload kernels."""
 
 from repro.analysis.affine import TIDX, AffineForm
 from repro.analysis.dataflow import AffineFlow, build_cfg, ptr_state_of
@@ -8,7 +8,7 @@ from repro.analysis.dataflow.cfg import EVAL
 from repro.analysis.loops import find_loops
 from repro.frontend import parse_kernel
 from repro.frontend.ast_nodes import Ident
-from repro.sim.arch import TITAN_V_SIM
+from repro.sim.arch import TITAN_V_SIM, as_dim3
 from repro.workloads import get_workload
 
 
@@ -269,20 +269,16 @@ __global__ void k(float *a) {
 
 
 # ---------------------------------------------------------------------------
-# Before/after: workload kernels that were irregular under the legacy walk
+# Workload kernels whose index forms only the fixpoint can follow
 # ---------------------------------------------------------------------------
 
 
-def _kernel_regularity(app, kernel_name, dataflow):
+def _kernel_regularity(app, kernel_name):
     wl = get_workload(app, scale="test")
     unit = wl.unit()
     grid, block = wl.launch_configs()[kernel_name]
-    block3 = (block, 1, 1) if isinstance(block, int) else \
-        (tuple(block) + (1, 1, 1))[:3]
-    grid3 = (grid, 1, 1) if isinstance(grid, int) else \
-        (tuple(grid) + (1, 1, 1))[:3]
-    kl = find_loops(unit.kernel(kernel_name), block_dim=block3,
-                    grid_dim=grid3, dataflow=dataflow)
+    kl = find_loops(unit.kernel(kernel_name), block_dim=as_dim3(block),
+                    grid_dim=as_dim3(grid))
     out = {}
     for rec in kl.loops:
         for acc in rec.unique_accesses():
@@ -291,25 +287,22 @@ def _kernel_regularity(app, kernel_name, dataflow):
 
 
 def test_hotspot3d_plane_walk_gains_exact_coefficients():
-    legacy = _kernel_regularity("HP", "hotspot_kernel", dataflow=False)
-    precise = _kernel_regularity("HP", "hotspot_kernel", dataflow=True)
-    # The hoisted `c += xy` plane walk is opaque to the single-pass walker…
-    assert any(f.irregular for f in legacy["tOut"])
-    # …and exact under dataflow: the iterator advances by the plane size.
+    precise = _kernel_regularity("HP", "hotspot_kernel")
+    # The hoisted `c += xy` plane walk is exact: the iterator advances by
+    # the 16x16 plane size.
     assert all(not f.irregular for f in precise["tOut"])
-    assert any(f.coeff("z") != 0 for f in precise["tOut"])
+    assert {f.coeff("z") for f in precise["tOut"]} == {256}
 
 
 def test_kmeans_swap_while_loop_gains_exact_coefficients():
-    legacy = _kernel_regularity("KM", "kmeans_swap", dataflow=False)
-    precise = _kernel_regularity("KM", "kmeans_swap", dataflow=True)
-    assert any(f.irregular for f in legacy["feature"])
+    precise = _kernel_regularity("KM", "kmeans_swap")
+    # `f = f + 1` in a while loop is recognized as the iterator.
     assert all(not f.irregular for f in precise["feature"])
-    assert any(f.coeff("f") != 0 for f in precise["feature"])
+    assert {f.coeff("f") for f in precise["feature"]} == {512}
 
 
 def test_gramschmidt_pointer_walk_gains_exact_coefficients():
-    legacy = _kernel_regularity("GRAM", "gram_update", dataflow=False)
-    precise = _kernel_regularity("GRAM", "gram_update", dataflow=True)
-    assert any(f.irregular for forms in legacy.values() for f in forms)
+    precise = _kernel_regularity("GRAM", "gram_update")
+    # The bumped pointer keeps its root array and a per-iteration offset.
     assert all(not f.irregular for forms in precise.values() for f in forms)
+    assert {f.coeff("i") for f in precise["a"]} == {64}

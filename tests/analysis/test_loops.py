@@ -206,15 +206,6 @@ __global__ void k(float *a) {
     ref = loop.unique_accesses()[0]
     assert ref.index.coeff("j") == 1
 
-    # The legacy single-pass walk has no while-header recognition.
-    legacy = find_loops(parse_kernel("""
-__global__ void k(float *a) {
-    int j = 0;
-    while (j < 8) { a[j] = 0.0f; j++; }
-}
-"""), block_dim=(256, 1, 1), dataflow=False)
-    assert legacy.loops[0].iterator is None
-
 
 def test_contains_sync_flag():
     kl = loops_of("""

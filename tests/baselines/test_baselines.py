@@ -10,7 +10,7 @@ from repro.baselines import (
     run_with_dyncta,
 )
 from repro.baselines.dyncta import DynCtaGovernor
-from repro.sim.arch import TITAN_V_SIM
+from repro.sim.arch import TITAN_V_SIM, TITAN_V_SIM_32K
 from repro.sim.metrics import SMMetrics
 from repro.workloads import get_workload, run_workload
 
@@ -50,6 +50,20 @@ def test_bftt_tlp_for_reporting():
     res = bftt_search(factory("GSMV"), TITAN_V_SIM)
     warps, tbs = res.tlp_for("gesummv_kernel", (8, 2))
     assert 1 <= warps <= 8 and 1 <= tbs <= 2
+
+
+@pytest.mark.parametrize("spec", [TITAN_V_SIM, TITAN_V_SIM_32K],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("search", [bftt_search, best_swl_search],
+                         ids=lambda f: f.__name__)
+def test_bp_barrier_loop_candidates_are_skipped_not_timed(search, spec):
+    """BP's tree-reduction loop holds a __syncthreads(): every N > 1
+    candidate would copy it into warp-divergent code and compute wrong
+    output, so the search skips them and times only verified programs."""
+    res = search(factory("BP"), spec, verify=True)
+    assert sorted(res.runs) == [(1, 0)]
+    assert res.best_factors == (1, 0)
+    assert all(run.verified for run in res.runs.values())
 
 
 def test_best_swl_subset_of_bftt_space():

@@ -10,14 +10,8 @@ import pytest
 
 from repro.analysis import analyze_kernel
 from repro.ptx import LoweringError, analyze_ptx_kernel, lower_kernel
-from repro.sim.arch import TITAN_V_SIM
+from repro.sim.arch import TITAN_V_SIM, as_dim3
 from repro.workloads import WORKLOADS, get_workload
-
-
-def _dim3(value):
-    if isinstance(value, int):
-        return (value, 1, 1)
-    return (tuple(value) + (1, 1, 1))[:3]
 
 
 def _cases():
@@ -38,7 +32,7 @@ def test_ptx_request_counts_match_source_analysis(app, kernel, grid, block):
         ptx = lower_kernel(unit, kernel)
     except LoweringError:
         pytest.skip("kernel uses constructs outside the PTX-lowerable subset")
-    block3 = _dim3(block)
+    block3 = as_dim3(block)
     if block3[1] * block3[2] > 1:
         pytest.skip("multidim TBs use warp enumeration at source level")
 

@@ -20,6 +20,7 @@ from repro.transform.diagnostics import (
     W_REVERTED,
     W_SEARCH,
 )
+from repro.workloads import get_workload
 
 ATAX = """
 #define NX 1024
@@ -121,6 +122,66 @@ def test_resilient_false_propagates():
     with inject_faults(FaultSpec(stage="analysis")):
         with pytest.raises(InjectedFault):
             catt_compile(parse(ATAX), LAUNCHES, TITAN_V_SIM, resilient=False)
+
+
+# ---------------------------------------------------------------------------
+# Analysis failures are loud: no fallback path
+# ---------------------------------------------------------------------------
+
+
+def _gsmv():
+    """GSMV's kernel, which CATT warp-splits at test scale."""
+    wl = get_workload("GSMV", "test")
+    return wl.unit(), wl.launch_configs()
+
+
+def test_affine_flow_failure_degrades_kernel(monkeypatch):
+    """The dataflow fixpoint is the only source of index forms: its failure
+    propagates out of find_loops and degrades the kernel in catt_compile."""
+    from repro.analysis import loops as loops_mod
+
+    def broken_flow(*args, **kwargs):
+        raise RuntimeError("fixpoint bug")
+
+    unit, launches = _gsmv()
+    monkeypatch.setattr(loops_mod, "AffineFlow", broken_flow)
+    with pytest.raises(RuntimeError, match="fixpoint bug"):
+        loops_mod.find_loops(unit.kernel("gesummv_kernel"), (256, 1, 1))
+    comp = catt_compile(unit, launches, TITAN_V_SIM)
+    t = comp.transforms["gesummv_kernel"]
+    assert t.analysis is None and not t.transformed
+    d, = comp.diagnostics_for("gesummv_kernel")
+    assert d.code == E_ANALYSIS and "fixpoint bug" in d.message
+    assert emit(comp.unit.kernel("gesummv_kernel")) == \
+        emit(unit.kernel("gesummv_kernel"))
+    with pytest.raises(RuntimeError, match="fixpoint bug"):
+        catt_compile(unit, launches, TITAN_V_SIM, resilient=False)
+
+
+def test_race_analysis_crash_blocks_transforms(monkeypatch):
+    """Without race verdicts nothing is proved race-free: a prover crash
+    blocks warp split and TB throttle with CATT-E-ANALYSIS."""
+    from repro.analysis.dataflow import races
+
+    unit, launches = _gsmv()
+    assert catt_compile(unit, launches,
+                        TITAN_V_SIM).transforms["gesummv_kernel"].transformed
+
+    def crash(analysis):
+        raise RuntimeError("prover bug")
+
+    monkeypatch.setattr(races, "analyze_races", crash)
+    comp = catt_compile(unit, launches, TITAN_V_SIM)
+    t = comp.transforms["gesummv_kernel"]
+    assert t.race_blocked and t.race_report is None
+    assert t.warp_splits == [] and t.tb_plan is None and not t.transformed
+    d, = comp.diagnostics_for("gesummv_kernel")
+    assert d.code == E_ANALYSIS and d.severity == "error"
+    assert d.message.startswith("race analysis failed: prover bug")
+    assert emit(comp.unit.kernel("gesummv_kernel")) == \
+        emit(unit.kernel("gesummv_kernel"))
+    with pytest.raises(RuntimeError, match="prover bug"):
+        catt_compile(unit, launches, TITAN_V_SIM, resilient=False)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,29 @@ def test_invalid_n_rejected():
         split_loop_for_warp_groups(kernel, find_loop(kernel), 3, 8, (256, 1, 1))
 
 
+def test_loop_with_barrier_rejected():
+    """Each guarded copy runs for one warp group only: a barrier inside the
+    loop would sit in warp-divergent code."""
+    from repro.errors import WarpSplitError
+
+    kernel = parse_kernel("""
+__global__ void k(float *a) {
+    __shared__ float s[256];
+    for (int j = 0; j < 4; j++) {
+        s[threadIdx.x] = a[threadIdx.x + j];
+        if (j > 0) { __syncthreads(); }
+        a[threadIdx.x] = s[255 - threadIdx.x];
+    }
+}
+""")
+    with pytest.raises(WarpSplitError, match="__syncthreads"):
+        split_loop_for_warp_groups(kernel, find_loop(kernel), 2, 8,
+                                   (256, 1, 1))
+    # N = 1 leaves the kernel as it is, barrier included.
+    assert split_loop_for_warp_groups(kernel, find_loop(kernel), 1, 8,
+                                      (256, 1, 1)) is kernel
+
+
 def test_multidim_block_linearizes_warp_id():
     src = """
 __global__ void k(float *a, float *out) {
