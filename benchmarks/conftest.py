@@ -1,9 +1,9 @@
 """Shared fixtures for the experiment benchmarks.
 
 Scale comes from ``REPRO_SCALE`` (default ``bench``); set ``REPRO_SCALE=test``
-for a fast smoke pass.  Results are cached in ``.bench_cache/results.json``
-(override with ``REPRO_CACHE``), so figures sharing sweeps — Fig. 7/9/
-Table 3 — simulate each configuration once.  Formatted tables are written to
+for a fast smoke pass.  Results are cached in the sharded store under
+``.bench_cache/`` (override with ``REPRO_CACHE``), so figures sharing
+sweeps — Fig. 7/9/Table 3 — simulate each configuration once.  Formatted tables are written to
 ``.bench_out/`` for EXPERIMENTS.md.
 """
 

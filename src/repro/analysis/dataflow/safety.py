@@ -400,13 +400,11 @@ def verify_warp_split(analysis, la) -> SafetyVerdict:
 def _race_safe_arrays(analysis) -> tuple[set[str], set[str]]:
     """(global, shared) arrays every one of whose (array, interval) race
     verdicts is PROVED-SAFE — no two threads of a TB can touch a common
-    element between barriers anywhere in the kernel."""
-    try:
-        from .races import analyze_races
+    element between barriers anywhere in the kernel.  A race-analysis
+    failure propagates, so the static proof fails loudly."""
+    from .races import analyze_races
 
-        report = analyze_races(analysis)
-    except Exception:
-        return set(), set()
+    report = analyze_races(analysis)
     return report.safe_arrays("global"), report.safe_arrays("shared")
 
 
@@ -673,16 +671,22 @@ def _race_findings(analysis) -> list[LintFinding]:
     (:mod:`repro.analysis.dataflow.races`): a ``PROVED-RACE`` region is an
     error, an ``UNKNOWN`` one a warning.  This replaces the old source-order
     epoch heuristic, whose single global counter separated accesses that a
-    barrier inside a loop body actually leaves concurrent."""
-    from ...transform.diagnostics import E_PROVED_RACE, W_RACE_UNKNOWN
+    barrier inside a loop body actually leaves concurrent.  A crash of the
+    analysis itself is a ``CATT-E-ANALYSIS`` finding naming the exception."""
+    from ...transform.diagnostics import (
+        E_ANALYSIS,
+        E_PROVED_RACE,
+        W_RACE_UNKNOWN,
+    )
     from .races import PROVED_RACE, UNKNOWN, analyze_races
 
     if not analysis.kernel_loops.shared_arrays:
         return []
     try:
         report = analyze_races(analysis)
-    except Exception:
-        return []
+    except Exception as exc:
+        return [LintFinding(E_ANALYSIS, analysis.kernel.name,
+                            f"race analysis failed: {exc!r}")]
     out: list[LintFinding] = []
     for v in report.for_space("shared"):
         line = v.lines[0] if v.lines else None

@@ -172,7 +172,7 @@ class Session:
         if self._result_cache is None:
             from .experiments.common import ResultCache
 
-            self._result_cache = ResultCache(self.options.cache_path())
+            self._result_cache = ResultCache(self.options.cache_dir)
         return self._result_cache
 
     def run_app(self, app: str, scheme: str, scale: str = "bench",
@@ -207,23 +207,21 @@ class Session:
 
         return execute_request(self, req)
 
-    def sweep(self, cells=None, scale: str = "bench", policy=None,
-              resume: bool = False):
+    def sweep(self, cells=None, scale: str = "bench", policy=None):
         """Populate this session's cache with simulation cells.
 
         ``cells=None`` sweeps everything ``catt all`` consumes; jobs come
         from the session options.  ``policy`` is a
-        :class:`~repro.experiments.sweep.SweepPolicy` (deadlines/retries);
-        ``resume=True`` replays the write-ahead journal of an interrupted
-        sweep and recomputes only what is missing.
+        :class:`~repro.experiments.sweep.SweepPolicy` (deadlines/retries).
+        Each finished cell is committed to the cache at once, so rerunning
+        an interrupted sweep computes only what is missing.
         """
         from .experiments.sweep import all_cells, run_sweep
 
         with self._scope():
             return run_sweep(cells if cells is not None else all_cells(scale),
                              jobs=self.options.jobs, cache=self._cache(),
-                             options=self.options, policy=policy,
-                             resume=resume)
+                             options=self.options, policy=policy)
 
     # -- observability ------------------------------------------------------
     def spans(self):

@@ -1,18 +1,15 @@
 """Shared experiment machinery: schemes, result records, and a run cache.
 
 Every figure/table regenerator goes through :func:`run_app`, which memoizes
-simulation results both in-process and (optionally) in a JSON file, so e.g.
-Fig. 7, Fig. 9 and Table 3 share one BFTT sweep instead of re-simulating.
+simulation results both in-process and (optionally) in the sharded on-disk
+store, so e.g. Fig. 7, Fig. 9 and Table 3 share one BFTT sweep instead of
+re-simulating.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -30,7 +27,7 @@ from ..transform import catt_compile
 from ..transform.diagnostics import E_SIM, Diagnostic
 from ..workloads import get_workload
 from ..workloads.base import WorkloadRun, run_workload
-from .store import ShardStore, fsync_file, quarantine_file
+from .store import ShardStore
 
 SPECS: dict[str, GPUSpec] = {
     "max": TITAN_V_SIM,       # maximum L1D (Eq.-4 carveout, up to 128 KB)
@@ -92,23 +89,14 @@ def geomean(values: list[float]) -> float:
 class ResultCache:
     """In-process + on-disk memo of :class:`AppResult` records.
 
-    The backing store depends on the path:
-
-    * ``""`` — memory-only (workers, profiling);
-    * ``*.json`` — the legacy single-file JSON cache.  Writes are atomic
-      (write-temp + fsync + :func:`os.replace`), so a killed sweep can never
-      leave a half-written or torn JSON behind;
-    * any other path — a **sharded, crash-safe store** rooted at that
-      directory (:class:`~repro.experiments.store.ShardStore`): one small
-      shard rewritten per put instead of the whole file, per-shard locks for
-      safe concurrent use from multiple processes, and sha256 per record
-      verified on read.  This is the default (``.bench_cache/``).
-
-    A corrupt cache file or shard found at load time is archived next to
-    itself (``<name>.corrupt``, then ``.corrupt.1``, … — repeated corruption
-    never overwrites earlier evidence) with a warning instead of being
-    silently ignored — the sweep restarts from an empty cache and the
-    forensics are preserved.
+    ``""`` is memory-only (workers, profiling); any other path is the root
+    directory of a **sharded, crash-safe store**
+    (:class:`~repro.experiments.store.ShardStore`): one small shard
+    rewritten per put, per-shard locks for safe concurrent use from
+    multiple processes, sha256 per record verified on read, and corrupt
+    shards archived with a warning instead of silently ignored.  The
+    default root is ``.bench_cache/`` in the working directory.  A path
+    that names an existing regular file is rejected with ``ValueError``.
     """
 
     VERSION = 6  # bump to invalidate stale caches after model changes
@@ -118,34 +106,14 @@ class ResultCache:
             path = resolve_cache_path(str(Path.cwd() / ".bench_cache"))
         self.path = Path(path) if path else None
         self._mem: dict[str, AppResult] = {}
-        self._disk: dict[str, dict] = {}
         self._store: ShardStore | None = None
-        if self.path is not None and self.path.suffix != ".json":
+        if self.path is not None:
+            if self.path.is_file():
+                raise ValueError(
+                    f"result cache {self.path} is a file; the cache is a "
+                    f"directory of shards (pass a directory path, or '' "
+                    f"for memory-only)")
             self._store = ShardStore(self.path, version=self.VERSION)
-        elif self.path and self.path.exists():
-            try:
-                payload = json.loads(self.path.read_text())
-                if not isinstance(payload, dict):
-                    raise ValueError("cache payload is not a JSON object")
-                if payload.get("version") == self.VERSION:
-                    results = payload.get("results", {})
-                    if not isinstance(results, dict):
-                        raise ValueError("cache 'results' is not an object")
-                    self._disk = results
-            except OSError:
-                pass
-            except (json.JSONDecodeError, ValueError):
-                self._archive_corrupt()
-
-    def _archive_corrupt(self) -> None:
-        archive = quarantine_file(self.path)
-        warnings.warn(
-            f"result cache {self.path} was corrupt; "
-            + (f"archived to {archive} and " if archive else "")
-            + "starting from an empty cache",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
     @staticmethod
     def key(app: str, scheme: str, spec: str, scale: str,
@@ -163,22 +131,10 @@ class ResultCache:
         base = f"{app}|{scheme}|{spec}|{scale}"
         return base if not signature else f"{base}|{signature}"
 
-    def wal_path(self) -> Path | None:
-        """Where a sweep's write-ahead journal for this cache lives (None
-        for memory-only caches, which cannot support ``--resume``)."""
-        if self._store is not None:
-            return self.path / "sweep.wal"
-        if self.path is not None:
-            return self.path.with_name(self.path.name + ".wal")
-        return None
-
     def get(self, key: str) -> AppResult | None:
         if key in self._mem:
             return self._mem[key]
-        if self._store is not None:
-            raw = self._store.get(key)
-        else:
-            raw = self._disk.get(key)
+        raw = self._store.get(key) if self._store is not None else None
         if raw is None:
             return None
         result = _from_json(raw)
@@ -189,22 +145,6 @@ class ResultCache:
         self._mem[key] = result
         if self._store is not None:
             self._store.put(key, _to_json(result))
-            return
-        self._disk[key] = _to_json(result)
-        if self.path:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            # sort_keys makes the bytes canonical: the file content depends
-            # only on the record set, so interrupted+resumed sweeps converge
-            # to the same bytes as uninterrupted ones.
-            payload = json.dumps(
-                {"version": self.VERSION, "results": self._disk},
-                indent=0, sort_keys=True,
-            )
-            tmp = self.path.with_name(self.path.name + f".tmp{os.getpid()}")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-                fsync_file(fh)
-            os.replace(tmp, self.path)
 
     def put_transient(self, key: str, result: AppResult) -> None:
         """Memoize in-process only — used for degraded cells, which should be
@@ -214,28 +154,24 @@ class ResultCache:
     def flush(self) -> None:
         """Durability barrier: every :meth:`put` record is on disk on return.
 
-        Both backing stores write through (atomic fsync'd replace per put),
-        so today this only has to drop shard memos so the next read observes
-        other processes' writes; ``Session.close()`` calls it so a
-        write-behind cache could be introduced without changing callers.
-        Transient (degraded) records stay memory-only by design.
+        The store writes through (atomic fsync'd replace per put), so today
+        this only has to drop shard memos so the next read observes other
+        processes' writes; ``Session.close()`` calls it so a write-behind
+        cache could be introduced without changing callers.  Transient
+        (degraded) records stay memory-only by design.
         """
         if self._store is not None:
             self._store._memo.clear()
 
     def digest(self) -> str:
-        """sha256 hex digest over the on-disk cache bytes.
+        """sha256 hex digest over the on-disk shard bytes.
 
-        Because both stores serialize canonically (sorted keys), the digest
-        depends only on the *set* of records — two caches populated with the
-        same cells, by any mix of processes, in any order, digest
-        identically.  ``""`` for memory-only caches (nothing on disk).
+        Shards serialize canonically (sorted keys), so the digest depends
+        only on the *set* of records — two caches populated with the same
+        cells, by any mix of processes, in any order, digest identically.
+        ``""`` for memory-only caches (nothing on disk).
         """
-        if self._store is not None:
-            return self._store.digest()
-        if self.path and self.path.exists():
-            return hashlib.sha256(self.path.read_bytes()).hexdigest()
-        return ""
+        return self._store.digest() if self._store is not None else ""
 
 
 def _to_json(result: AppResult) -> dict:
@@ -457,31 +393,10 @@ def _run_scheme(
             _kernel_stats(run, kernel_tlps), loop_tlps=loop_tlps,
             diagnostics=[d.to_dict() for d in comp.diagnostics],
         )
-    elif scheme == "bftt":
-        res = bftt_search(lambda: get_workload(app, scale), spec,
-                          verify=verify)
-        sweep = {
-            f"{n},{m}": {
-                "total": r.total_cycles,
-                "kernels": r.cycles_by_kernel(),
-            }
-            for (n, m), r in res.runs.items()
-        }
-        run = res.best_run
-        n, m = res.best_factors
-        tlps = {}
-        for r in run.results:
-            occ = r.occupancy
-            tlps[r.kernel_name] = (max(occ.warps_per_tb // n, 1),
-                                   max(min(occ.tb_sm, r.tbs_simulated), 1))
-        result = AppResult(
-            app, scheme, spec_name, scale, run.total_cycles,
-            _kernel_stats(run, tlps), factors=res.best_factors, sweep=sweep,
-        )
-    elif scheme == "swl":
-        # Best-SWL: the BFTT search restricted to warp-level limiting.
-        res = best_swl_search(lambda: get_workload(app, scale), spec,
-                              verify=verify)
+    elif scheme in ("bftt", "swl"):
+        # Best-SWL is the BFTT search restricted to warp-level limiting.
+        search = bftt_search if scheme == "bftt" else best_swl_search
+        res = search(lambda: get_workload(app, scale), spec, verify=verify)
         sweep = {
             f"{n},{m}": {
                 "total": r.total_cycles,

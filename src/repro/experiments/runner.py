@@ -248,9 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the simulation sweep "
                              "('all' and 'bench')")
-    parser.add_argument("--resume", action="store_true",
-                        help="all: resume an interrupted sweep from its "
-                             "write-ahead journal instead of starting over")
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SEC",
                         help="all: wall-clock deadline per sweep cell; a "
@@ -318,9 +315,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="serve: backpressure limit on in-flight compute "
                              "requests (default 128)")
     parser.add_argument("--cache", metavar="PATH", default=None,
-                        help="result-cache location ('' = memory-only, "
-                             "*.json = legacy single file, otherwise a "
-                             "sharded store root)")
+                        help="result-cache directory ('' = memory-only; "
+                             "default .bench_cache)")
     parser.add_argument("--spec", choices=["max", "32k"], default="max",
                         help="serve: default GPU spec for the service "
                              "session")
@@ -483,8 +479,9 @@ def _dispatch(args, parser, opts: SimOptions) -> int:
             return 1 if failures else 0
         return 0
     else:  # all
-        # Populate the shared cache up front (supervised, journaled); the
-        # per-figure builders below then run entirely against warm entries.
+        # Populate the shared cache up front (supervised, each cell committed
+        # as it finishes); the per-figure builders below then run entirely
+        # against warm entries.
         from .sweep import (
             DEFAULT_POLICY,
             SweepPolicy,
@@ -500,11 +497,10 @@ def _dispatch(args, parser, opts: SimOptions) -> int:
         )
         try:
             report = run_sweep(all_cells(args.scale), jobs=opts.jobs,
-                               options=opts, policy=policy,
-                               resume=args.resume)
+                               options=opts, policy=policy)
         except KeyboardInterrupt:
             print("\nsweep interrupted; completed cells are saved — rerun "
-                  "with --resume to pick up where it left off",
+                  "the same command to compute only the rest",
                   file=sys.stderr)
             return 130
         print(format_sweep_health(report), file=sys.stderr)

@@ -1,13 +1,10 @@
-"""Crash-safe on-disk result storage: a sharded record store and a WAL.
-
-Two durability primitives back the experiment harness:
+"""Crash-safe on-disk result storage: the sharded record store.
 
 :class:`ShardStore`
     A content-keyed, sharded JSON store.  Keys hash (sha256) onto a fixed
     number of shard files, so a ``put`` rewrites one small shard instead of
-    the whole cache — the old single-file ``ResultCache`` paid O(N²) disk
-    traffic over a sweep and lost records to last-writer-wins races when two
-    processes shared the file.  Safety properties:
+    the whole cache, and processes sharing the store merge their records
+    instead of racing last-writer-wins.  Safety properties:
 
     * **per-shard locks** (``flock`` where available) make concurrent puts
       from multiple processes merge instead of clobber;
@@ -22,15 +19,12 @@ Two durability primitives back the experiment harness:
       evidence of repeated corruption) and the store keeps working;
     * **canonical bytes** — shards serialize with sorted keys, so the
       on-disk bytes depend only on the *set* of records, not on insertion
-      order: sequential, parallel, and resumed sweeps converge to identical
-      files.
+      order: sequential, parallel, and interrupted-then-rerun sweeps
+      converge to identical files.
 
-:class:`SweepWAL`
-    An append-only, fsync'd write-ahead journal of completed sweep cells.
-    The supervisor appends each finished cell as one integrity-checked JSON
-    line; after a SIGKILL mid-sweep, ``--resume`` reloads the journal and
-    recomputes only what is missing.  A torn tail line (the crash case) is
-    skipped by the sha256 check, never mis-parsed.
+A sweep commits each cell with one fsync'd ``put`` the moment it finishes,
+so a killed sweep loses at most its in-flight cells and a plain rerun
+computes only what is missing.
 
 Fault injection: shard writes call the ``"cache"`` boundary hooks from
 :mod:`repro.testing.faults` — ``exc=OSError`` models disk-full (the put
@@ -286,84 +280,3 @@ class ShardStore:
         st = path.stat()
         self._memo[idx] = ((st.st_mtime_ns, st.st_size), records)
 
-
-class SweepWAL:
-    """Append-only journal of completed sweep cells (one JSON line each).
-
-    Lines carry their own sha256, so a parent killed mid-append leaves at
-    most one torn tail line, which :meth:`load` silently skips.  The first
-    line is a header binding the journal to the cache format version — a
-    stale journal (written by an older model) resumes as empty rather than
-    resurrecting incompatible records.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: str | Path, cache_version: int):
-        self.path = Path(path)
-        self.cache_version = cache_version
-        self._fh = None
-        self.dropped = 0     # invalid/torn lines skipped by the last load()
-
-    def load(self) -> dict[str, dict]:
-        """Replay the journal: ``{cache_key: record}`` for every intact line."""
-        self.dropped = 0
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return {}
-        lines = text.splitlines()
-        if not lines:
-            return {}
-        try:
-            header = json.loads(lines[0])
-            ok = (header.get("wal") == self.VERSION
-                  and header.get("cache_version") == self.cache_version)
-        except (json.JSONDecodeError, AttributeError):
-            ok = False
-        if not ok:
-            self.dropped = len(lines)
-            return {}
-        out: dict[str, dict] = {}
-        for line in lines[1:]:
-            try:
-                obj = json.loads(line)
-                key, record, sha = obj["key"], obj["record"], obj["sha256"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                self.dropped += 1
-                continue
-            if record_digest(record) != sha:
-                self.dropped += 1
-                continue
-            out[key] = record
-        return out
-
-    def append(self, key: str, record: dict) -> None:
-        """Durably journal one completed cell (fsync before returning)."""
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-            if self._fh.tell() == 0:
-                self._fh.write(json.dumps(
-                    {"wal": self.VERSION,
-                     "cache_version": self.cache_version}) + "\n")
-        self._fh.write(json.dumps(
-            {"key": key, "record": record, "sha256": record_digest(record)},
-            sort_keys=True) + "\n")
-        fsync_file(self._fh)
-
-    def exists(self) -> bool:
-        return self.path.exists()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def discard(self) -> None:
-        """Close and delete the journal (the sweep committed its results)."""
-        self.close()
-        try:
-            self.path.unlink()
-        except OSError:
-            pass

@@ -22,20 +22,19 @@ that survives process-level faults:
 * **Poison-cell quarantine.**  A cell that exhausts its retries degrades to
   the PR-1 zero-cycle ``AppResult(degraded=True)`` path with a diagnostic —
   it cannot kill the sweep, and it is never written to the disk cache.
-* **Checkpoint/resume.**  Every completed cell is journaled to a write-ahead
-  log (:class:`~repro.experiments.store.SweepWAL`) the moment it finishes,
-  so SIGKILL mid-sweep loses at most the in-flight cells; ``run_sweep(...,
-  resume=True)`` (``catt all --resume``) replays the journal and recomputes
-  only what is missing.
-* **Clean interrupts.**  SIGINT terminates the workers (no orphans), flushes
-  every already-completed cell to the cache, and re-raises.
+* **Commit on completion.**  Every finished cell is written to the
+  :class:`ResultCache` (one fsync'd shard put) the moment it is accepted,
+  so SIGKILL mid-sweep loses at most the in-flight cells, and a plain rerun
+  serves the committed cells from the cache and computes only the rest.
+* **Clean interrupts.**  SIGINT terminates the workers (no orphans) and
+  re-raises; every completed cell is already in the cache.
 
-Determinism is preserved throughout: results are merged in the caller's
-cell order regardless of worker completion order, the cache serializes with
-canonical (sorted-key) bytes, and chaos faults key on the *attempt index*
-(:class:`~repro.testing.faults.ChaosPlan`), so a sweep with injected
-crashes/hangs/retries converges to the same cache bytes as a clean
-sequential run.
+Determinism is preserved throughout: the store's shard bytes depend only on
+the record set, not on put order; worker spans and metrics are merged in the
+caller's cell order regardless of completion order; and chaos faults key on
+the *attempt index* (:class:`~repro.testing.faults.ChaosPlan`), so a sweep
+with injected crashes/hangs/retries converges to the same cache bytes as a
+clean sequential run.
 
 Degraded cells (``AppResult.degraded``) are memoized in-process only, same
 as the sequential path — the next sweep retries them.
@@ -62,15 +61,7 @@ from ..options import (
 from ..testing.faults import ChaosPlan, check_worker_fault, set_worker_chaos
 from ..transform.diagnostics import E_SIM, Diagnostic
 from ..workloads import CI_GROUP, CS_GROUP
-from .common import (
-    AppResult,
-    ResultCache,
-    _from_json,
-    _to_json,
-    default_cache,
-    run_app,
-)
-from .store import SweepWAL
+from .common import AppResult, ResultCache, default_cache, run_app
 
 #: One simulation cell: (app, scheme, spec, scale).
 Cell = tuple[str, str, str, str]
@@ -128,7 +119,8 @@ DEFAULT_POLICY = SweepPolicy()
 _IN_WORKER = False
 
 #: Test hook: called after every accepted cell completion (both execution
-#: paths).  Chaos tests monkeypatch this to interrupt a sweep mid-flight.
+#: paths), once the cell is committed to the cache.  Chaos tests
+#: monkeypatch this to interrupt a sweep mid-flight.
 _CHECKPOINT_HOOK = None
 
 
@@ -268,7 +260,7 @@ class _Supervisor:
         self.crashes = 0
         self.quarantined = 0
         self.respawns = 0
-        self.on_complete = None     # callback(cell, result): WAL journaling
+        self.on_complete = None     # callback(cell, result): cache commit
         self._wid = 0
         self._pending: deque = deque()     # (cell, attempt) ready to run
         self._delayed: list = []           # heap of (ready_ts, cell, attempt)
@@ -483,12 +475,11 @@ class SweepReport:
     """What one :func:`run_sweep` call did."""
 
     cells: int       # cells requested
-    computed: int    # cells actually simulated (not cached or resumed)
+    computed: int    # cells actually simulated (not cached)
     cached: int      # cells served from the cache
     degraded: int    # computed cells that failed and degraded
     jobs: int        # worker processes used
     seconds: float
-    resumed: int = 0       # cells replayed from the write-ahead log
     retried: int = 0       # failed attempts rescheduled with backoff
     timeouts: int = 0      # attempts killed by the per-cell deadline
     crashes: int = 0       # worker processes that died mid-cell
@@ -499,7 +490,7 @@ def format_sweep_health(report: SweepReport) -> str:
     """One-line supervisor summary for the CLI (what the supervisor did)."""
     parts = [f"{report.cells} cells", f"{report.computed} computed",
              f"{report.cached} cached"]
-    for label in ("resumed", "retried", "timeouts", "crashes",
+    for label in ("retried", "timeouts", "crashes",
                   "quarantined", "degraded"):
         value = getattr(report, label)
         if value:
@@ -514,30 +505,25 @@ def run_sweep(
     cache: ResultCache | None = None,
     options: SimOptions | None = None,
     policy: SweepPolicy | None = None,
-    resume: bool = False,
     chaos: ChaosPlan | None = None,
-    wal_path=None,
 ) -> SweepReport:
     """Populate ``cache`` with every cell in ``cells``.
 
     ``jobs > 1`` fans the uncached cells out over supervised worker
-    processes; the merge order (and therefore the cache content) is
-    identical to a sequential run.  ``options`` (default: the currently
-    active :class:`SimOptions`) is shipped to every worker at spawn — no
-    environment mutation, so the sweep behaves identically under fork and
-    spawn start methods.  Worker span/metric streams are merged back in
-    caller cell order, mirroring the single-writer cache merge.
+    processes; the cache content is identical to a sequential run.
+    ``options`` (default: the currently active :class:`SimOptions`) is
+    shipped to every worker at spawn — no environment mutation, so the
+    sweep behaves identically under fork and spawn start methods.  Worker
+    span/metric streams are merged back in caller cell order.
 
     ``policy`` configures supervision (deadlines, retries, backoff);
-    ``resume=True`` replays the write-ahead journal of an interrupted sweep
-    and recomputes only unfinished cells; ``chaos`` arms process-level fault
-    injection in the workers (tests/CI).  ``wal_path`` overrides where the
-    journal lives (default: derived from the cache; memory-only caches get
-    no journal).
+    ``chaos`` arms process-level fault injection in the workers (tests/CI).
 
-    On ``KeyboardInterrupt`` the workers are terminated (no orphans), every
-    already-completed cell is flushed to the cache, and the interrupt is
-    re-raised — rerun with ``resume=True`` to pick up where it left off.
+    Each cell is committed to ``cache`` as soon as it finishes (degraded
+    cells in-process only), so an interrupted or killed sweep keeps every
+    completed cell and rerunning the same sweep computes only the rest.  On
+    ``KeyboardInterrupt`` the workers are terminated (no orphans) and the
+    interrupt is re-raised.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -553,80 +539,34 @@ def run_sweep(
                  else current_options()).signature()
     t0 = time.perf_counter()
     stats = {"retried": 0, "timeouts": 0, "crashes": 0, "quarantined": 0}
-    with _span("experiment.sweep", cells=len(cells), jobs=jobs,
-               resume=resume) as sp:
+    reg = _registry()
+    with _span("experiment.sweep", cells=len(cells), jobs=jobs) as sp:
         todo = [c for c in cells
                 if cache.get(ResultCache.key(*c, signature=signature)) is None]
         results: dict[Cell, AppResult] = {}
         obs_by_cell: dict[Cell, dict | None] = {}
 
-        # -- checkpoint/resume via the write-ahead journal -------------------
-        wal = None
-        wpath = wal_path if wal_path is not None else cache.wal_path()
-        if wpath:
-            wal = SweepWAL(wpath, cache_version=ResultCache.VERSION)
-        resumed = 0
-        todo_run = todo
-        if wal is not None:
-            if resume:
-                journal = wal.load()
-                todo_run = []
-                for c in todo:
-                    raw = journal.get(ResultCache.key(*c, signature=signature))
-                    if raw is None:
-                        todo_run.append(c)
-                    else:
-                        results[c] = _from_json(raw)
-                        obs_by_cell[c] = None
-                        resumed += 1
+        def _commit(cell: Cell, result: AppResult) -> None:
+            # Degraded cells stay in-process: the next sweep retries them.
+            key = ResultCache.key(*cell, signature=signature)
+            if result.degraded:
+                cache.put_transient(key, result)
             else:
-                wal.discard()   # a fresh sweep owns the journal
-        reg = _registry()
-        if reg.enabled and resumed:
-            reg.counter("sweep.resumed").inc(resumed)
-
-        def _journal(cell: Cell, result: AppResult) -> None:
-            # Degraded cells are never journaled: like put_transient, they
-            # must be retried by the next sweep, not resurrected by resume.
-            if wal is not None and not result.degraded:
-                wal.append(ResultCache.key(*cell, signature=signature),
-                           _to_json(result))
-
-        def _merge() -> int:
-            """Fold results into cache/tracer/registry in caller order."""
-            degraded = 0
-            t, reg = _tracer(), _registry()
-            for cell in cells:   # caller order, not completion order
-                result = results.get(cell)
-                if result is None:
-                    continue   # served from cache (or still in flight)
-                obs = obs_by_cell.get(cell)
-                if obs:
-                    if obs.get("spans"):
-                        t.adopt(obs["spans"])
-                    if obs.get("metrics"):
-                        reg.merge(obs["metrics"])
-                key = ResultCache.key(*cell, signature=signature)
-                if result.degraded:
-                    degraded += 1
-                    cache.put_transient(key, result)
-                else:
-                    cache.put(key, result)
-            return degraded
+                cache.put(key, result)
 
         try:
-            if jobs > 1 and len(todo_run) > 1:
+            if jobs > 1 and len(todo) > 1:
                 # fork inherits the warmed import state; fall back to spawn
                 # where fork is unavailable (it re-imports, only slower).
                 method = ("fork" if "fork" in mp.get_all_start_methods()
                           else "spawn")
                 ctx = mp.get_context(method)
                 initargs = (options, _tracer().enabled, _registry().enabled)
-                sup = _Supervisor(ctx, min(jobs, len(todo_run)), policy,
+                sup = _Supervisor(ctx, min(jobs, len(todo)), policy,
                                   initargs, chaos)
-                sup.on_complete = _journal
+                sup.on_complete = _commit
                 try:
-                    sup.run(todo_run)
+                    sup.run(todo)
                 finally:
                     results.update(sup.results)
                     obs_by_cell.update(sup.obs)
@@ -646,7 +586,7 @@ def run_sweep(
                 scope = use_options(options) if options is not None \
                     else nullcontext()
                 with scope:
-                    for cell in todo_run:
+                    for cell in todo:
                         for attempt in range(policy.retries + 1):
                             result = _run_cell(cell)[1]
                             if not result.degraded \
@@ -657,33 +597,37 @@ def run_sweep(
                                 reg.counter("sweep.retries").inc()
                             time.sleep(policy.backoff * (2 ** attempt))
                         results[cell] = result
-                        obs_by_cell[cell] = None
-                        _journal(cell, result)
+                        _commit(cell, result)
                         if _CHECKPOINT_HOOK is not None:
                             _CHECKPOINT_HOOK(cell)
         except KeyboardInterrupt:
-            # Flush what finished, keep the journal for --resume, and let
-            # the interrupt propagate: nothing completed is ever lost.
-            _merge()
+            # Completed cells are already committed; let the interrupt
+            # propagate.
             if reg.enabled:
                 reg.counter("sweep.interrupted").inc()
-            if wal is not None:
-                wal.close()
             sp.set(interrupted=True, computed=len(results))
             raise
+        finally:
+            # Adopt worker spans/metrics in caller order, not completion
+            # order, so the telemetry is deterministic too.
+            t = _tracer()
+            for cell in cells:
+                obs = obs_by_cell.get(cell)
+                if obs:
+                    if obs.get("spans"):
+                        t.adopt(obs["spans"])
+                    if obs.get("metrics"):
+                        reg.merge(obs["metrics"])
 
-        degraded = _merge()
-        if wal is not None:
-            wal.discard()   # results are committed; the journal is obsolete
-        sp.set(computed=len(todo_run), cached=len(cells) - len(todo),
-               degraded=degraded, resumed=resumed, **stats)
+        degraded = sum(r.degraded for r in results.values())
+        sp.set(computed=len(todo), cached=len(cells) - len(todo),
+               degraded=degraded, **stats)
     return SweepReport(
         cells=len(cells),
-        computed=len(todo_run),
+        computed=len(todo),
         cached=len(cells) - len(todo),
         degraded=degraded,
         jobs=jobs,
         seconds=round(time.perf_counter() - t0, 3),
-        resumed=resumed,
         **stats,
     )

@@ -75,7 +75,6 @@ _HEALTH_COUNTERS = (
     ("sweep.crashes", "worker crashes survived"),
     ("sweep.respawns", "workers respawned"),
     ("sweep.quarantined", "poison cells quarantined"),
-    ("sweep.resumed", "cells replayed from journal"),
     ("sweep.interrupted", "sweeps interrupted cleanly"),
     ("cache.integrity_failures", "cache records failing sha256"),
     ("cache.shards_quarantined", "corrupt cache shards archived"),

@@ -40,8 +40,7 @@ class SimOptions:
 
     ``cache_dir`` semantics: ``None`` keeps the harness default (the
     sharded store under ``.bench_cache/`` in the working directory), ``""``
-    means memory-only (no disk cache), a ``*.json`` path selects the legacy
-    single-file JSON cache at that path, and any other path is the root
+    means memory-only (no disk cache), and any other path is the root
     directory of a sharded result store.
     """
 
@@ -115,13 +114,6 @@ class SimOptions:
 
     def replace(self, **changes) -> "SimOptions":
         return replace(self, **changes)
-
-    def cache_path(self) -> str | None:
-        """The result-cache location this configuration implies: a ``.json``
-        file (legacy single-file cache) or a sharded-store root directory."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir
 
     #: Fields that change *simulation results* (not how they are computed or
     #: where they are stored).  Only these participate in :meth:`signature`;
@@ -230,7 +222,7 @@ def resolve_cache_path(default: str) -> str:
     """
     opts = _ACTIVE
     if opts is not None and opts.cache_dir is not None:
-        return opts.cache_path()
+        return opts.cache_dir
     raw = os.environ.get(CACHE_ENV)
     if raw is not None:
         _deprecate(CACHE_ENV, "SimOptions(cache_dir=...)")

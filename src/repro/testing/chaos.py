@@ -2,12 +2,11 @@
 
 End-to-end check of the sweep supervisor's recovery contract: no matter
 what process-level faults a sweep survives — worker crashes, hung cells
-killed by deadline, in-worker exceptions, a SIGKILL'd run resumed from its
-journal, a SIGINT'd run resumed from its flushed cache — the resulting
-on-disk cache must be **byte-identical** to an uninterrupted sequential
-run, and the signed run manifest (which covers the cache digest) must
-match.  Exit status 0 means every phase converged; 1 names the phase that
-diverged.
+killed by deadline, in-worker exceptions, a SIGKILL'd or SIGINT'd run
+followed by a plain rerun — the resulting on-disk cache must be
+**byte-identical** to an uninterrupted sequential run, and the signed run
+manifest (which covers the cache digest) must match.  Exit status 0 means
+every phase converged; 1 names the phase that diverged.
 
 Phases:
 
@@ -17,12 +16,12 @@ Phases:
    :class:`~repro.testing.faults.ChaosPlan`: one cell's worker crashes
    (``os._exit``) twice, one cell raises, one cell hangs until the
    supervisor's deadline kills it.  All must be retried to clean results.
-3. **sigkill + resume** — a child sweep process is SIGKILL'd mid-sweep
-   (no cleanup of any kind runs), then ``resume=True`` replays the
-   write-ahead journal and completes.
-4. **sigint + resume** — a second child is SIGINT'd; it must exit 130
-   after flushing completed cells, leaving no orphaned workers; a resumed
-   sweep then completes.
+3. **sigkill + rerun** — a child sweep process is SIGKILL'd mid-sweep
+   (no cleanup of any kind runs) once it has committed two cells; a plain
+   rerun serves those from the store and computes the rest.
+4. **sigint + rerun** — a second child is SIGINT'd after two committed
+   cells; it must exit 130, leaving no orphaned workers; a plain parallel
+   rerun then completes.
 
 Replay any failure locally with the same command — the chaos plan is
 fully deterministic (faults key on cell + attempt index, not timing).
@@ -31,7 +30,6 @@ fully deterministic (faults key on cell + attempt index, not timing).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import signal
 import subprocess
@@ -56,15 +54,6 @@ def chaos_cells(scale: str = "test") -> list[tuple[str, str, str, str]]:
             for app in CHAOS_APPS for scheme in CHAOS_SCHEMES]
 
 
-def cache_digest(root: str | Path) -> str:
-    """sha256 over every shard file (name + bytes) in a sharded cache."""
-    h = hashlib.sha256()
-    for p in sorted(Path(root).glob("shard-??.json")):
-        h.update(p.name.encode("utf-8"))
-        h.update(p.read_bytes())
-    return h.hexdigest()
-
-
 def _signature(scale: str, digest: str) -> str:
     """The deterministic manifest signature for one sweep outcome."""
     return build_manifest(
@@ -73,16 +62,15 @@ def _signature(scale: str, digest: str) -> str:
     ).signature
 
 
-def _wait_for_wal(wal: Path, min_records: int, timeout: float) -> bool:
-    """Block until the child's journal holds ``min_records`` data lines."""
+def _wait_for_commits(cache_dir: Path, cells: list, min_cells: int,
+                      timeout: float) -> bool:
+    """Block until the child has committed ``min_cells`` of ``cells``."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        try:
-            # header line + data lines
-            if len(wal.read_text().splitlines()) > min_records:
-                return True
-        except OSError:
-            pass
+        cache = ResultCache(cache_dir)   # fresh: sees the child's puts
+        done = sum(cache.get(ResultCache.key(*c)) is not None for c in cells)
+        if done >= min_cells:
+            return True
         time.sleep(0.05)
     return False
 
@@ -125,16 +113,16 @@ def run_chaos(scale: str = "test", jobs: int = 3,
         root = Path(tmp)
 
         # -- phase 1: clean sequential baseline ------------------------------
-        report = run_sweep(chaos_cells(scale), jobs=1,
-                           cache=ResultCache(root / "baseline"))
-        baseline = cache_digest(root / "baseline")
+        cells = chaos_cells(scale)
+        report = run_sweep(cells, jobs=1, cache=ResultCache(root / "baseline"))
+        baseline = ResultCache(root / "baseline").digest()
         baseline_sig = _signature(scale, baseline)
         log(f"[baseline ] {format_sweep_health(report)}")
         log(f"[baseline ] cache sha256 {baseline[:16]}…")
 
         def check(label: str, cache_dir: Path) -> None:
             nonlocal failures
-            digest = cache_digest(cache_dir)
+            digest = ResultCache(cache_dir).digest()
             if digest != baseline or _signature(scale, digest) != baseline_sig:
                 failures += 1
                 log(f"[{label:9s}] FAIL: cache diverged from baseline "
@@ -143,7 +131,6 @@ def run_chaos(scale: str = "test", jobs: int = 3,
                 log(f"[{label:9s}] cache + manifest signature match baseline")
 
         # -- phase 2: crash/hang/fail chaos, parallel ------------------------
-        cells = chaos_cells(scale)
         first, second, third = cells[0], cells[1], cells[2]
         plan = ChaosPlan(faults=(
             WorkerFault(kind="crash", match="|".join(first), attempts=2),
@@ -163,43 +150,28 @@ def run_chaos(scale: str = "test", jobs: int = 3,
                 "0 quarantined")
         check("chaos", root / "chaos")
 
-        # -- phase 3: SIGKILL mid-sweep, then resume -------------------------
-        kill_dir = root / "sigkill"
-        child = _spawn_child(kill_dir, scale)
-        if not _wait_for_wal(kill_dir / "sweep.wal", min_records=2,
-                             timeout=120.0):
-            failures += 1
-            log("[sigkill  ] FAIL: child never journaled 2 cells")
-        child.send_signal(signal.SIGKILL)
-        child.wait()
-        report = run_sweep(chaos_cells(scale), jobs=1,
-                           cache=ResultCache(kill_dir), resume=True)
-        log(f"[sigkill  ] {format_sweep_health(report)}")
-        if report.resumed < 1:
-            failures += 1
-            log("[sigkill  ] FAIL: nothing replayed from the journal")
-        check("sigkill", kill_dir)
-
-        # -- phase 4: SIGINT mid-sweep (clean interrupt), then resume --------
-        int_dir = root / "sigint"
-        child = _spawn_child(int_dir, scale)
-        if not _wait_for_wal(int_dir / "sweep.wal", min_records=2,
-                             timeout=120.0):
-            failures += 1
-            log("[sigint   ] FAIL: child never journaled 2 cells")
-        child.send_signal(signal.SIGINT)
-        code = child.wait()
-        if code != 130:
-            failures += 1
-            log(f"[sigint   ] FAIL: child exited {code}, expected 130")
-        if not any((int_dir / f"shard-{i:02x}.json").exists()
-                   for i in range(16)):
-            failures += 1
-            log("[sigint   ] FAIL: interrupt flushed nothing to the cache")
-        report = run_sweep(chaos_cells(scale), jobs=jobs,
-                           cache=ResultCache(int_dir), resume=True)
-        log(f"[sigint   ] {format_sweep_health(report)}")
-        check("sigint", int_dir)
+        # -- phases 3 and 4: kill mid-sweep, then a plain rerun --------------
+        for label, sig, rerun_jobs in (("sigkill", signal.SIGKILL, 1),
+                                       ("sigint", signal.SIGINT, jobs)):
+            cache_dir = root / label
+            child = _spawn_child(cache_dir, scale)
+            if not _wait_for_commits(cache_dir, cells, min_cells=2,
+                                     timeout=120.0):
+                failures += 1
+                log(f"[{label:9s}] FAIL: child never committed 2 cells")
+            child.send_signal(sig)
+            code = child.wait()
+            if sig == signal.SIGINT and code != 130:
+                failures += 1
+                log(f"[{label:9s}] FAIL: child exited {code}, expected 130")
+            report = run_sweep(cells, jobs=rerun_jobs,
+                               cache=ResultCache(cache_dir))
+            log(f"[{label:9s}] {format_sweep_health(report)}")
+            if report.cached < 2:
+                failures += 1
+                log(f"[{label:9s}] FAIL: rerun found {report.cached} "
+                    f"committed cells, expected >= 2")
+            check(label, cache_dir)
 
     return failures
 

@@ -28,6 +28,8 @@ CATT-W-RACE-UNKNOWN        warning   a shared (array, interval) pair could not
 CATT-W-SEARCH              warning   throttle search degraded for one loop
 CATT-W-BUDGET              warning   analysis budget exhausted; partial results
 CATT-W-REVERTED            warning   validation gate reverted a transform
+CATT-W-STATIC-PROOF        warning   static safety proof crashed; the
+                                     differential gate decides instead
 CATT-W-IRREGULAR-INDEX     warning   data-dependent index; conservative
                                      C_tid = 1 assumed (§4.2)
 CATT-W-UNCOALESCED         warning   fully diverged reference (REQ_warp = 32)
@@ -63,6 +65,7 @@ W_RACE_UNKNOWN = "CATT-W-RACE-UNKNOWN"
 W_SEARCH = "CATT-W-SEARCH"
 W_BUDGET = "CATT-W-BUDGET"
 W_REVERTED = "CATT-W-REVERTED"
+W_STATIC_PROOF = "CATT-W-STATIC-PROOF"
 W_IRREGULAR_INDEX = "CATT-W-IRREGULAR-INDEX"
 W_UNCOALESCED = "CATT-W-UNCOALESCED"
 I_SKIP_LOOP = "CATT-I-SKIP-LOOP"

@@ -60,6 +60,7 @@ from .diagnostics import (
     W_BUDGET,
     W_REVERTED,
     W_SEARCH,
+    W_STATIC_PROOF,
     DiagnosticLog,
 )
 from .tb_throttle import add_dummy_shared
@@ -380,8 +381,12 @@ def _catt_compile(
 
                     verdict = verify_transform_static(
                         analysis, record, out.kernel(name), kernel)
-                except Exception:
-                    verdict = None  # fall back to the dynamic gate
+                except Exception as exc:
+                    # No proof: say why, then the dynamic gate decides.
+                    log.emit(W_STATIC_PROOF, "validate",
+                             f"static safety proof failed: {exc!r}; "
+                             f"running the differential gate",
+                             kernel=name, exc=exc)
                 if verdict is not None and verdict.safe:
                     record.validation = ValidationReport(
                         name, STATIC_SAFE,

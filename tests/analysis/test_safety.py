@@ -14,6 +14,7 @@ from repro.analysis.dataflow.safety import (
 from repro.frontend import parse, parse_kernel
 from repro.sim.arch import TITAN_V_SIM
 from repro.transform.diagnostics import (
+    E_ANALYSIS,
     E_DIVERGENT_BARRIER,
     E_PROVED_RACE,
     W_IRREGULAR_INDEX,
@@ -374,3 +375,29 @@ __global__ void k(float *a) {
 """)
     codes = _codes(analysis)
     assert E_PROVED_RACE not in codes and W_RACE_UNKNOWN not in codes
+
+
+def test_race_analysis_crash_is_a_finding(monkeypatch):
+    """A race-analysis crash is a CATT-E-ANALYSIS finding naming the
+    exception, in ``catt lint`` and in the analysis report — not silence."""
+    from repro.analysis import format_analysis
+    from repro.analysis.dataflow import races
+    from repro.experiments.lint import lint_workload
+
+    def crash(analysis):
+        raise RuntimeError("prover bug")
+
+    monkeypatch.setattr(races, "analyze_races", crash)
+    hits = [f for app, f in lint_workload("BP", "test")
+            if f.code == E_ANALYSIS]
+    assert hits and all(f.severity == "error" for f in hits)
+    assert "RuntimeError('prover bug')" in hits[0].message
+    report = format_analysis(analysis_of("""
+__global__ void k(float *a) {
+    __shared__ float tile[256];
+    int t = threadIdx.x;
+    tile[t] = a[t];
+    a[t] = tile[t + 1];
+}
+"""))
+    assert "CATT-E-ANALYSIS" in report and "prover bug" in report

@@ -11,7 +11,7 @@ from repro.experiments.compare import (
 
 
 def _cache(tmp_path):
-    return ResultCache(tmp_path / "results.json")
+    return ResultCache(tmp_path / "results")
 
 
 def test_compare_schemes_are_registered():

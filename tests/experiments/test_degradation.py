@@ -2,6 +2,7 @@
 recovery, and figure sweeps that keep going past degraded cells."""
 
 import json
+import re
 
 import pytest
 
@@ -21,58 +22,73 @@ def _result(app="GSMV", scheme="baseline", cycles=100):
 
 
 def test_cache_write_is_atomic_no_stragglers(tmp_path):
-    cache = ResultCache(tmp_path / "cache.json")
+    cache = ResultCache(tmp_path / "cache")
     for i in range(5):
         cache.put(f"k{i}", _result(cycles=i + 1))
-    # Every put replaced the file whole; no temp files survive.
-    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
-    reloaded = ResultCache(tmp_path / "cache.json")
+    # Every put replaced one shard whole; no temp files survive, only
+    # shards and their lock files.
+    names = [p.name for p in (tmp_path / "cache").iterdir()]
+    assert names and all(
+        re.fullmatch(r"shard-[0-9a-f]{2}\.json|\.shard-[0-9a-f]{2}\.lock", n)
+        for n in names), names
+    reloaded = ResultCache(tmp_path / "cache")
     assert reloaded.get("k4").total_cycles == 5
 
 
+def _only_shard(root):
+    (shard,) = root.glob("shard-??.json")
+    return shard
+
+
 def test_corrupt_cache_archived_and_recovered(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text('{"results": {"k": {"app": truncated')
+    root = tmp_path / "cache"
+    ResultCache(root).put("k", _result())
+    shard = _only_shard(root)
+    shard.write_text('{"records": {"k": {"app": truncated')
+    cache = ResultCache(root)
     with pytest.warns(RuntimeWarning, match="corrupt"):
-        cache = ResultCache(path)
-    # Fresh start: the bad file is preserved for forensics, not deleted.
-    assert cache.get("k") is None
-    assert (tmp_path / "cache.json.corrupt").exists()
-    assert not path.exists()
+        assert cache.get("k") is None
+    # Fresh start: the bad shard is preserved for forensics, not deleted.
+    assert shard.with_name(shard.name + ".corrupt").exists()
+    assert not shard.exists()
     # The cache is fully usable afterwards.
     cache.put("k", _result())
-    assert ResultCache(path).get("k").total_cycles == 100
+    assert ResultCache(root).get("k").total_cycles == 100
 
 
 def test_repeated_corruption_archives_monotonically(tmp_path):
-    """A second (and third) corrupt cache must never overwrite the archived
+    """A second (and third) corrupt shard must never overwrite the archived
     evidence of the first: suffixes count up (.corrupt, .corrupt.1, ...)."""
-    path = tmp_path / "cache.json"
-    for expected in ("cache.json.corrupt", "cache.json.corrupt.1",
-                     "cache.json.corrupt.2"):
-        path.write_text(f'{{"broken": {expected}')   # unique corrupt bytes
+    root = tmp_path / "cache"
+    ResultCache(root).put("k", _result())
+    shard = _only_shard(root)
+    expected = [shard.name + suffix
+                for suffix in (".corrupt", ".corrupt.1", ".corrupt.2")]
+    for name in expected:
+        shard.write_text(f'{{"broken": {name}')   # unique corrupt bytes
         with pytest.warns(RuntimeWarning, match="corrupt"):
-            ResultCache(path)
-        assert (tmp_path / expected).exists()
+            assert ResultCache(root).get("k") is None
+        assert (root / name).exists()
     # All three pieces of evidence survived, each with its own content.
-    archives = sorted(p.name for p in tmp_path.glob("cache.json.corrupt*"))
-    assert archives == ["cache.json.corrupt", "cache.json.corrupt.1",
-                        "cache.json.corrupt.2"]
-    contents = {(tmp_path / a).read_text() for a in archives}
+    archives = sorted(p.name for p in root.glob(shard.name + ".corrupt*"))
+    assert archives == expected
+    contents = {(root / a).read_text() for a in archives}
     assert len(contents) == 3
 
 
 def test_wrong_shape_cache_also_archived(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps(
-        {"version": ResultCache.VERSION, "results": [1, 2, 3]}))  # not a dict
-    with pytest.warns(RuntimeWarning):
-        cache = ResultCache(path)
-    assert cache.get("anything") is None
+    root = tmp_path / "cache"
+    ResultCache(root).put("k", _result())
+    shard = _only_shard(root)
+    shard.write_text(json.dumps(
+        {"version": ResultCache.VERSION, "records": [1, 2, 3]}))  # not a dict
+    with pytest.warns(RuntimeWarning, match="corrupt"):
+        assert ResultCache(root).get("k") is None
+    assert shard.with_name(shard.name + ".corrupt").exists()
 
 
 def test_put_transient_is_memory_only(tmp_path):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache"
     cache = ResultCache(path)
     cache.put_transient("temp", _result())
     assert cache.get("temp") is not None
@@ -86,9 +102,9 @@ def test_degraded_result_round_trips_diagnostics(tmp_path):
     res = AppResult(app="A", scheme="catt", spec="max", scale="test",
                     total_cycles=0, kernels={}, diagnostics=[diag],
                     degraded=True)
-    cache = ResultCache(tmp_path / "c.json")
+    cache = ResultCache(tmp_path / "c")
     cache.put("k", res)
-    back = ResultCache(tmp_path / "c.json").get("k")
+    back = ResultCache(tmp_path / "c").get("k")
     assert back.degraded and back.diagnostics == [diag]
 
 
@@ -98,7 +114,7 @@ def test_degraded_result_round_trips_diagnostics(tmp_path):
 
 
 def test_fig7_completes_with_degraded_cells(tmp_path):
-    cache = ResultCache(tmp_path / "cache.json")
+    cache = ResultCache(tmp_path / "cache")
     # Kill only the CATT cell: its compile still works under a transform
     # fault (resilient), so break the sim boundary for one scheme by
     # pre-running the others clean.
@@ -114,7 +130,7 @@ def test_fig7_completes_with_degraded_cells(tmp_path):
 
 
 def test_fig7_completes_with_dead_baseline(tmp_path):
-    cache = ResultCache(tmp_path / "cache.json")
+    cache = ResultCache(tmp_path / "cache")
     with inject_faults(FaultSpec(stage="sim")):
         for scheme in ("baseline", "bftt", "catt"):
             run_app("GSMV", scheme, "max", "test", cache)

@@ -16,7 +16,7 @@ from repro.experiments.overhead import build_overhead, format_overhead
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(tmp_path / "results.json")
+    return ResultCache(tmp_path / "results")
 
 
 def test_geomean():
@@ -31,7 +31,7 @@ def test_run_app_baseline_and_cache_roundtrip(cache, tmp_path):
     # Second call: served from cache (same object identity via mem cache).
     r2 = run_app("GSMV", "baseline", "max", "test", cache)
     assert r2 is r1
-    # Fresh cache object reads the JSON file.
+    # Fresh cache object reads the on-disk store.
     cache2 = ResultCache(cache.path)
     r3 = run_app("GSMV", "baseline", "max", "test", cache2)
     assert r3.total_cycles == r1.total_cycles

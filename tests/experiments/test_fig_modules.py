@@ -13,7 +13,7 @@ from repro.experiments.table3 import build_table3
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(tmp_path / "r.json")
+    return ResultCache(tmp_path / "r")
 
 
 def test_fig3_tiny():

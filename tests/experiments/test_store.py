@@ -1,5 +1,6 @@
-"""Sharded store + WAL tests: canonical bytes, integrity checks, shard
-quarantine, concurrent merge, fsync'd atomic replace, and journal replay."""
+"""Sharded store tests: canonical bytes, integrity checks, shard
+quarantine, concurrent merge, fsync'd atomic replace, and the ResultCache
+that sits on top."""
 
 from __future__ import annotations
 
@@ -8,10 +9,9 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.experiments.common import AppResult, ResultCache, _to_json
+from repro.experiments.common import AppResult, ResultCache
 from repro.experiments.store import (
     ShardStore,
-    SweepWAL,
     canonical_bytes,
     quarantine_file,
     record_digest,
@@ -201,53 +201,15 @@ def test_result_cache_sharded_backend(tmp_path):
     fresh = ResultCache(tmp_path / "store")
     got = fresh.get(key)
     assert got is not None and got.total_cycles == 123
-    assert fresh.wal_path() == tmp_path / "store" / "sweep.wal"
-    # Legacy .json path still selects the single-file backend.
-    legacy = ResultCache(tmp_path / "legacy.json")
-    legacy.put(key, result)
-    assert (tmp_path / "legacy.json").exists()
-    assert ResultCache(tmp_path / "legacy.json").get(key).total_cycles == 123
-    assert legacy.wal_path() == tmp_path / "legacy.json.wal"
-    assert ResultCache("").wal_path() is None
+    # A ``.json`` suffix is just a directory name: there is one backend.
+    ResultCache(tmp_path / "named.json").put(key, result)
+    assert (tmp_path / "named.json").is_dir()
 
 
-# -- write-ahead log ----------------------------------------------------------
-
-
-def test_wal_round_trip_and_torn_tail(tmp_path):
-    wal = SweepWAL(tmp_path / "s.wal", cache_version=ResultCache.VERSION)
-    rec = _to_json(AppResult("ATAX", "baseline", "max", "test",
-                             total_cycles=7, kernels={}))
-    wal.append("k1", rec)
-    wal.append("k2", rec)
-    wal.close()
-    # Simulate a crash mid-append: a torn final line.
-    with open(tmp_path / "s.wal", "a", encoding="utf-8") as fh:
-        fh.write('{"key": "k3", "rec')
-    wal2 = SweepWAL(tmp_path / "s.wal", cache_version=ResultCache.VERSION)
-    loaded = wal2.load()
-    assert sorted(loaded) == ["k1", "k2"]
-    assert wal2.dropped == 1
-    wal2.discard()
-    assert not (tmp_path / "s.wal").exists()
-
-
-def test_wal_rejects_stale_cache_version(tmp_path):
-    wal = SweepWAL(tmp_path / "s.wal", cache_version=1)
-    wal.append("k", {"x": 1})
-    wal.close()
-    stale = SweepWAL(tmp_path / "s.wal", cache_version=2)
-    assert stale.load() == {}            # incompatible journal: all dropped
-    assert stale.dropped == 2            # header + record
-
-
-def test_wal_rejects_tampered_record(tmp_path):
-    wal = SweepWAL(tmp_path / "s.wal", cache_version=ResultCache.VERSION)
-    wal.append("k", {"x": 1})
-    wal.close()
-    lines = (tmp_path / "s.wal").read_text().splitlines()
-    lines[1] = lines[1].replace('"x": 1', '"x": 2')   # flip the payload
-    (tmp_path / "s.wal").write_text("\n".join(lines) + "\n")
-    fresh = SweepWAL(tmp_path / "s.wal", cache_version=ResultCache.VERSION)
-    assert fresh.load() == {}
-    assert fresh.dropped == 1
+def test_result_cache_rejects_a_file_path(tmp_path):
+    """The cache is a directory of shards; a path naming an existing file
+    (e.g. a single-file JSON cache) is an error, not a silently dead cache."""
+    path = tmp_path / "results.json"
+    path.write_text("{}")
+    with pytest.raises(ValueError, match="directory"):
+        ResultCache(path)

@@ -1,9 +1,7 @@
 """Sweep supervisor tests: crash/hang/fail recovery, retries, quarantine,
-checkpoint/resume via the WAL, interrupt flushing, and the CLI wiring."""
+cells committed before an interrupt or kill, and the CLI wiring."""
 
 from __future__ import annotations
-
-import hashlib
 
 import pytest
 
@@ -18,14 +16,6 @@ from repro.testing.faults import ChaosPlan, WorkerFault
 CELLS = [("ATAX", "baseline", "max", "test"),
          ("BP", "baseline", "max", "test"),
          ("MVT", "baseline", "max", "test")]
-
-
-def _shard_digest(root) -> str:
-    h = hashlib.sha256()
-    for p in sorted(root.glob("shard-??.json")):
-        h.update(p.name.encode())
-        h.update(p.read_bytes())
-    return h.hexdigest()
 
 
 # -- policy -------------------------------------------------------------------
@@ -72,7 +62,7 @@ def test_worker_crash_is_retried_to_clean_result(tmp_path):
     assert report.retried == 1
     assert report.quarantined == 0
     assert report.degraded == 0
-    assert _shard_digest(tmp_path / "clean") == _shard_digest(tmp_path / "chaos")
+    assert clean.digest() == chaos.digest() != ""
 
 
 def test_hung_worker_killed_by_deadline(tmp_path):
@@ -149,87 +139,76 @@ def test_sequential_path_retries_degraded_cells(monkeypatch, tmp_path):
     assert cache.get(ResultCache.key(*cell)).total_cycles == 42
 
 
-# -- checkpoint / resume ------------------------------------------------------
+# -- commit on completion -----------------------------------------------------
 
 
 class _Kill(BaseException):
-    """Stands in for SIGKILL: bypasses the KeyboardInterrupt flush path."""
+    """Stands in for SIGKILL: bypasses the KeyboardInterrupt handler."""
 
 
-def test_interrupt_flushes_completed_cells_and_keeps_journal(
-        monkeypatch, tmp_path):
-    """Satellite contract: KeyboardInterrupt mid-sweep terminates cleanly,
-    flushes every completed cell to the cache, and re-raises."""
-    from repro.experiments import sweep as sweep_mod
-
+def _stop_after(n: int, exc: type[BaseException]):
+    """A checkpoint hook that raises ``exc`` at the ``n``-th completion."""
     seen = []
 
     def hook(cell):
         seen.append(cell)
-        if len(seen) == 2:
-            raise KeyboardInterrupt
+        if len(seen) == n:
+            raise exc
 
-    monkeypatch.setattr(sweep_mod, "_CHECKPOINT_HOOK", hook)
-    cache = ResultCache(tmp_path / "c")
-    with pytest.raises(KeyboardInterrupt):
-        run_sweep(CELLS, jobs=1, cache=cache)
-    monkeypatch.setattr(sweep_mod, "_CHECKPOINT_HOOK", None)
-    # Completed cells reached the disk cache; the journal survives for
-    # --resume; nothing of the in-flight cell leaked.
-    fresh = ResultCache(tmp_path / "c")
-    flushed = [c for c in CELLS if fresh.get(ResultCache.key(*c))]
-    assert len(flushed) == 2
-    assert (tmp_path / "c" / "sweep.wal").exists()
-    # Resuming completes the sweep and retires the journal.
-    report = run_sweep(CELLS, jobs=1, cache=ResultCache(tmp_path / "c"),
-                       resume=True)
-    assert report.cached == 2
-    assert not (tmp_path / "c" / "sweep.wal").exists()
+    return hook
 
 
-def test_resume_replays_journal_after_hard_kill(monkeypatch, tmp_path):
-    """After a SIGKILL-style death (no flush ran), resume must rebuild the
-    completed cells from the write-ahead journal alone."""
+@pytest.mark.parametrize("stop, jobs", [(KeyboardInterrupt, 1), (_Kill, 1),
+                                        (_Kill, 2)],
+                         ids=["interrupt", "kill", "kill-parallel"])
+def test_stopped_sweep_keeps_completed_cells(monkeypatch, tmp_path, stop,
+                                             jobs):
+    """A sweep interrupted or hard-killed after 2 of 3 cells has already
+    committed exactly those 2; a plain rerun computes only the third and
+    converges on a clean run's bytes."""
     from repro.experiments import sweep as sweep_mod
 
-    seen = []
-
-    def hook(cell):
-        seen.append(cell)
-        if len(seen) == 2:
-            raise _Kill
-
-    monkeypatch.setattr(sweep_mod, "_CHECKPOINT_HOOK", hook)
-    cache = ResultCache(tmp_path / "c")
-    with pytest.raises(_Kill):
-        run_sweep(CELLS, jobs=1, cache=cache)
+    monkeypatch.setattr(sweep_mod, "_CHECKPOINT_HOOK", _stop_after(2, stop))
+    with pytest.raises(stop):
+        run_sweep(CELLS, jobs=jobs, cache=ResultCache(tmp_path / "c"),
+                  policy=SweepPolicy(poll=0.02))
     monkeypatch.setattr(sweep_mod, "_CHECKPOINT_HOOK", None)
-    # Nothing was flushed (hard kill), but the journal has both cells.
     fresh = ResultCache(tmp_path / "c")
-    assert not any(fresh.get(ResultCache.key(*c)) for c in CELLS)
-    report = run_sweep(CELLS, jobs=1, cache=fresh, resume=True)
-    assert report.resumed == 2
-    assert report.computed == 1
-    # Byte-identical to a clean uninterrupted run.
+    committed = [c for c in CELLS if fresh.get(ResultCache.key(*c))]
+    assert len(committed) == 2
+    if jobs == 1:
+        assert committed == CELLS[:2]
+    report = run_sweep(CELLS, jobs=1, cache=fresh)
+    assert (report.cached, report.computed) == (2, 1)
     clean = ResultCache(tmp_path / "clean")
     run_sweep(CELLS, jobs=1, cache=clean)
-    assert _shard_digest(tmp_path / "c") == _shard_digest(tmp_path / "clean")
+    assert fresh.digest() == clean.digest() != ""
 
 
-def test_fresh_sweep_discards_stale_journal(tmp_path):
-    cache = ResultCache(tmp_path / "c")
-    wal = cache.wal_path()
-    wal.parent.mkdir(parents=True, exist_ok=True)
-    wal.write_text("stale bytes from an older run\n")
-    run_sweep(CELLS[:1], jobs=1, cache=cache)   # resume NOT requested
-    assert not wal.exists()
+def test_concurrent_sweep_keeps_first_sweeps_cells(monkeypatch, tmp_path):
+    """Sweep B runs to completion on the same store between sweep A's cells,
+    then A is killed: B cannot drop A's committed cell, so rerunning A
+    computes only A's unfinished cell."""
+    from repro.experiments import sweep as sweep_mod
 
+    a_cells, b_cells = CELLS[:2], CELLS[2:]
+    ran_b = []
 
-def test_memory_cache_has_no_journal():
-    cache = ResultCache("")
-    report = run_sweep(CELLS[:1], jobs=1, cache=cache, resume=True)
-    assert report.resumed == 0
-    assert report.computed == 1
+    def hook(cell):
+        if ran_b:
+            return   # B's own completion, or nothing left to do
+        ran_b.append(cell)
+        run_sweep(b_cells, jobs=1, cache=ResultCache(tmp_path / "c"))
+        raise _Kill
+
+    monkeypatch.setattr(sweep_mod, "_CHECKPOINT_HOOK", hook)
+    with pytest.raises(_Kill):
+        run_sweep(a_cells, jobs=1, cache=ResultCache(tmp_path / "c"))
+    monkeypatch.setattr(sweep_mod, "_CHECKPOINT_HOOK", None)
+    report = run_sweep(a_cells, jobs=1, cache=ResultCache(tmp_path / "c"))
+    assert (report.cached, report.computed) == (1, 1)
+    assert run_sweep(b_cells, jobs=1,
+                     cache=ResultCache(tmp_path / "c")).cached == 1
 
 
 # -- CLI wiring ---------------------------------------------------------------
@@ -242,18 +221,16 @@ def test_runner_all_passes_supervision_flags(monkeypatch, capsys):
     captured = {}
 
     def stub_run_sweep(cells, jobs=1, cache=None, options=None, policy=None,
-                       resume=False, chaos=None, wal_path=None):
-        captured.update(jobs=jobs, policy=policy, resume=resume,
-                        cells=len(cells))
+                       chaos=None):
+        captured.update(jobs=jobs, policy=policy, cells=len(cells))
         raise KeyboardInterrupt   # stop before the per-figure builders run
 
     monkeypatch.setattr(sweep_mod, "run_sweep", stub_run_sweep)
-    code = main(["all", "--scale", "test", "--jobs", "2", "--resume",
+    code = main(["all", "--scale", "test", "--jobs", "2",
                  "--cell-timeout", "45", "--retries", "5"])
     out = capsys.readouterr()
     assert code == 130                       # interrupted sweeps exit 130
-    assert "--resume" in out.err             # and say how to pick up again
-    assert captured["resume"] is True
+    assert "rerun the same command" in out.err   # and say how to go on
     assert captured["jobs"] == 2
     assert captured["policy"].cell_timeout == 45.0
     assert captured["policy"].retries == 5

@@ -79,12 +79,12 @@ def test_degraded_cell_stays_transient(monkeypatch, tmp_path):
                             kernels={}, degraded=True)
 
     monkeypatch.setattr(sweep_mod, "_run_cell", fake_run_cell)
-    cache = ResultCache(tmp_path / "results.json")
+    cache = ResultCache(tmp_path / "results")
     report = run_sweep([cell], jobs=1, cache=cache)
     assert report.degraded == 1
     # In-memory memo holds it, but nothing reached disk.
     assert cache.get(ResultCache.key(*cell)).degraded
-    assert not (tmp_path / "results.json").exists()
+    assert not (tmp_path / "results").exists()
 
 
 def test_runner_no_dedup_flag_activates_options(monkeypatch, capsys):
@@ -127,21 +127,21 @@ def test_result_cache_key_sms_suffix():
 def test_sweep_sms_cells_deterministic_across_jobs(tmp_path):
     """An sms=2 sweep must produce byte-identical cached results whether run
     in-process or through the worker pool (the CI determinism smoke, small)."""
-    import json
-
     from repro.options import SimOptions
 
     cell = ("ATAX", "baseline", "max", "test")
-    payloads = {}
+    digests = {}
     for jobs in (1, 2):
-        path = tmp_path / f"cache_jobs{jobs}.json"
+        path = tmp_path / f"cache_jobs{jobs}"
         run_sweep([cell], jobs=jobs, cache=ResultCache(path),
                   options=SimOptions(sms=2, jobs=jobs))
-        payloads[jobs] = json.loads(path.read_text())
-    assert payloads[1] == payloads[2]
-    (key,) = payloads[1]["results"].keys()
+        digests[jobs] = ResultCache(path).digest()
+    assert digests[1] == digests[2] != ""
+    key = ResultCache.key(*cell, signature=SimOptions(sms=2).signature())
     assert key.endswith("|sms2")
-    cached = ResultCache(tmp_path / "cache_jobs1.json").get(key)
+    fresh = ResultCache(tmp_path / "cache_jobs1")
+    assert fresh.get(ResultCache.key(*cell)) is None   # only the sms2 key
+    cached = fresh.get(key)
     assert cached.sms == 2
     # Kernel rows carry the shared-L2 hit rate alongside the L1 one.
     for stats in cached.kernels.values():

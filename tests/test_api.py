@@ -15,6 +15,7 @@ from repro.options import (
     ENGINE_ENV,
     active_options,
     current_options,
+    resolve_cache_path,
     use_options,
 )
 
@@ -43,14 +44,22 @@ def test_simoptions_validation():
         SimOptions(jobs=0)
 
 
-def test_simoptions_cache_path_semantics(tmp_path):
-    assert SimOptions().cache_path() is None
-    assert SimOptions(cache_dir="").cache_path() == ""
-    # A .json path selects the legacy single-file cache...
-    assert SimOptions(cache_dir=str(tmp_path / "r.json")).cache_path() == \
-        str(tmp_path / "r.json")
-    # ...while any other path is the root of the sharded store, verbatim.
-    assert SimOptions(cache_dir=str(tmp_path)).cache_path() == str(tmp_path)
+def test_simoptions_cache_path_semantics(monkeypatch, tmp_path):
+    """``cache_dir`` reaches the result cache verbatim: ``None`` keeps the
+    default store, ``""`` is memory-only, any other path roots a store."""
+    from repro.experiments.common import ResultCache
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    default = str(tmp_path / "default")
+    with use_options(SimOptions()):
+        assert resolve_cache_path(default) == default
+    with use_options(SimOptions(cache_dir="")):
+        assert resolve_cache_path(default) == ""
+        assert ResultCache().path is None
+    store = str(tmp_path / "store")
+    with use_options(SimOptions(cache_dir=store)):
+        assert resolve_cache_path(default) == store
+        assert str(ResultCache().path) == store
 
 
 def test_env_resolution_with_deprecation_warning(monkeypatch):

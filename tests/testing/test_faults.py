@@ -108,7 +108,7 @@ PIPELINE_BOUNDARIES = ("frontend", "analysis", "transform", "sim")
 
 @pytest.mark.parametrize("stage", PIPELINE_BOUNDARIES)
 def test_run_app_matrix_survives_boundary_faults(stage, tmp_path):
-    cache = ResultCache(tmp_path / "cache.json")
+    cache = ResultCache(tmp_path / "cache")
     with inject_faults(FaultSpec(stage=stage)) as inj:
         for scheme in SCHEMES:
             result = run_app("GSMV", scheme, "max", "test", cache)
@@ -126,7 +126,7 @@ def test_run_app_matrix_survives_boundary_faults(stage, tmp_path):
 def test_run_app_matrix_survives_cache_faults(tmp_path):
     """A cache write that fails never kills the run: every cell still
     produces a clean result, merely memory-only for this process."""
-    cache = ResultCache(tmp_path / "store")        # sharded backend
+    cache = ResultCache(tmp_path / "store")
     with inject_faults(FaultSpec(stage="cache")) as inj:
         with pytest.warns(RuntimeWarning, match="write failed"):
             for scheme in SCHEMES:
@@ -144,19 +144,19 @@ def test_run_app_matrix_survives_cache_faults(tmp_path):
 
 def test_degraded_cells_not_persisted(tmp_path):
     """A degraded cell memoizes for this sweep only — a fresh cache retries."""
-    cache = ResultCache(tmp_path / "cache.json")
+    cache = ResultCache(tmp_path / "cache")
     with inject_faults(FaultSpec(stage="sim", count=1)):
         first = run_app("GSMV", "baseline", "max", "test", cache)
         assert first.degraded
         again = run_app("GSMV", "baseline", "max", "test", cache)
         assert again.degraded                    # memoized within the run
-    fresh = ResultCache(tmp_path / "cache.json")
+    fresh = ResultCache(tmp_path / "cache")
     clean = run_app("GSMV", "baseline", "max", "test", fresh)
     assert not clean.degraded and clean.total_cycles > 0
 
 
 def test_run_app_on_error_raise_propagates(tmp_path):
-    cache = ResultCache(tmp_path / "cache.json")
+    cache = ResultCache(tmp_path / "cache")
     with inject_faults(FaultSpec(stage="sim")):
         with pytest.raises(InjectedFault):
             run_app("GSMV", "baseline", "max", "test", cache, on_error="raise")

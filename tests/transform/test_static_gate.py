@@ -5,7 +5,7 @@ from repro.frontend import emit, parse
 from repro.sim.arch import TITAN_V_SIM, TITAN_V_SIM_32K
 from repro.transform import catt_compile
 from repro.transform import pipeline as pipeline_mod
-from repro.transform.diagnostics import I_STATIC_SAFE
+from repro.transform.diagnostics import I_STATIC_SAFE, W_STATIC_PROOF
 from repro.transform.validate import STATIC_SAFE
 
 ATAX = """
@@ -74,6 +74,31 @@ def test_unprovable_kernel_falls_back_to_differential(monkeypatch):
     # whose threads all fail the guard never reach the inserted barrier —
     # the gate detects the hazard and reverts.
     assert t.validation.must_revert
+
+
+def test_static_proof_crash_is_reported_before_dynamic_gate(monkeypatch):
+    """If the race analysis crashes inside the static proof, the pipeline
+    records why (CATT-W-STATIC-PROOF) and the differential gate decides."""
+    from repro.analysis.dataflow import races
+
+    real, seen = races.analyze_races, []
+
+    def crash_in_proof(analysis):
+        seen.append(analysis)
+        if len(seen) > 1:          # the pipeline's own race stage succeeds
+            raise RuntimeError("prover bug")
+        return real(analysis)
+
+    monkeypatch.setattr(races, "analyze_races", crash_in_proof)
+    calls = _count_differential(monkeypatch)
+    comp = catt_compile(parse(ATAX), LAUNCHES, TITAN_V_SIM, validate=True)
+    t = comp.transforms["atax_kernel1"]
+    assert t.warp_splits == [(0, 2)]
+    assert calls and t.validation.status != STATIC_SAFE and t.validation.ok
+    d, = [d for d in comp.diagnostics_for("atax_kernel1")
+          if d.code == W_STATIC_PROOF]
+    assert d.severity == "warning" and d.stage == "validate"
+    assert "RuntimeError('prover bug')" in d.message
 
 
 def test_decisions_unchanged_across_gate_modes():
