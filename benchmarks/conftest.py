@@ -2,7 +2,7 @@
 
 Scale comes from ``REPRO_SCALE`` (default ``bench``); set ``REPRO_SCALE=test``
 for a fast smoke pass.  Results are cached in the sharded store under
-``.bench_cache/`` (override with ``REPRO_CACHE``), so figures sharing
+``.bench_cache/`` in the working directory, so figures sharing
 sweeps — Fig. 7/9/Table 3 — simulate each configuration once.  Formatted tables are written to
 ``.bench_out/`` for EXPERIMENTS.md.
 """

@@ -26,8 +26,7 @@ Quickstart::
     print(result.cycles, result.l1_hit_rate)
 
 ``SimOptions`` is the single source of truth for the engine/dedup/cache
-knobs; the legacy ``REPRO_SIM_ENGINE`` / ``REPRO_SIM_DEDUP`` / ``REPRO_CACHE``
-environment variables still work through a deprecation shim.  Enable
+knobs; no environment variable changes them.  Enable
 ``SimOptions(trace=True, metrics=True)`` (or run ``catt profile <app>``) to
 collect a Perfetto-loadable trace and a signed run manifest — see
 docs/OBSERVABILITY.md.

@@ -1,8 +1,7 @@
 """``repro.api`` — the unified :class:`Session` facade.
 
-One object that ties the whole pipeline together: a resolved
-:class:`~repro.options.SimOptions` (the *only* place the deprecated
-environment variables are consulted — exactly once, at construction), a
+One object that ties the whole pipeline together: a
+:class:`~repro.options.SimOptions` (``SimOptions()`` unless given), a
 simulated :class:`~repro.runtime.device.Device`, and the observability layer
 (:mod:`repro.obs`).  Every Session method runs with the session's options
 active, so engine/dedup/cache selection is deterministic and explicit
@@ -26,9 +25,6 @@ requests (:mod:`repro.service.protocol`) via :meth:`Session.request` — the
 exact API :class:`repro.service.ServiceClient` speaks to a remote ``catt
 serve`` process, so swapping local for remote execution is a one-line
 change.
-
-Results are bit-identical to the legacy env-var path — the Session only
-changes *how the knobs are carried*, never what the simulator does.
 """
 
 from __future__ import annotations
@@ -71,9 +67,7 @@ class Session:
             self.spec = spec
             self.spec_name = next(
                 (k for k, v in SPEC_NAMES.items() if v is spec), "custom")
-        # The one and only environment read: at construction, through the
-        # deprecation shim.  An explicit ``options`` skips the env entirely.
-        self.options = options if options is not None else SimOptions.from_env()
+        self.options = options if options is not None else SimOptions()
         self.device = Device(self.spec)
         self._result_cache = None
         self._closed = False

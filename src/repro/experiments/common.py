@@ -21,7 +21,7 @@ from ..baselines.dyncta import run_with_dyncta
 from ..baselines.swl import best_swl_search
 from ..obs.metrics_registry import registry as _registry
 from ..obs.trace import span as _span
-from ..options import SimOptions, current_options, resolve_cache_path
+from ..options import current_options, resolve_cache_path
 from ..sim.arch import TITAN_V_SIM, TITAN_V_SIM_32K, GPUSpec
 from ..transform import catt_compile
 from ..transform.diagnostics import E_SIM, Diagnostic
@@ -117,17 +117,15 @@ class ResultCache:
 
     @staticmethod
     def key(app: str, scheme: str, spec: str, scale: str,
-            sms: int = 1, signature: str | None = None) -> str:
+            signature: str = "") -> str:
         """The cache key of one cell under one configuration identity.
 
         ``signature`` is :meth:`SimOptions.signature` — the canonical
-        config identity shared with request coalescing and manifests; when
-        omitted it is derived from the legacy ``sms`` knob.  The suffix
-        only appears for non-default configurations, so every key (and
-        cached record) written by the pre-signature substrate stays valid.
+        config identity shared with request coalescing and manifests (``""``
+        for the default configuration).  The suffix only appears for
+        non-default configurations, so every key (and cached record) written
+        by the pre-signature substrate stays valid.
         """
-        if signature is None:
-            signature = SimOptions(sms=sms).signature()
         base = f"{app}|{scheme}|{spec}|{scale}"
         return base if not signature else f"{base}|{signature}"
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..baselines.ciao import CiaoGovernor
 from ..obs.trace import span as _span
-from ..options import SimOptions, active_options, use_options
+from ..options import SimOptions, current_options, use_options
 from ..workloads import get_workload
 from ..workloads.base import run_workload
 from .common import SPECS
@@ -107,7 +107,7 @@ def build_l2sweep(
     schemes: tuple[str, ...] = DEFAULT_SCHEMES,
 ) -> list[L2SweepRow]:
     """Run the contention sweep; rows come back in (app, sms, scheme) order."""
-    base = options or active_options() or SimOptions()
+    base = options or current_options()
     rows: list[L2SweepRow] = []
     for app in apps:
         for sms in sms_values:

@@ -13,10 +13,8 @@ Examples::
     catt trace profile_atax/trace.json
 
 Configuration flows through one resolved :class:`repro.SimOptions` per
-invocation (``--engine``, ``--no-dedup``, ``--jobs``, ``--trace``,
-``--metrics``); the deprecated ``REPRO_SIM_*`` environment variables are
-folded in exactly once, at option resolution — nothing mutates
-``os.environ`` anymore.
+invocation (``--engine``, ``--no-dedup``, ``--jobs``, ``--sms``,
+``--cache``, ``--trace``, ``--metrics``).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from pathlib import Path
 from ..analysis import analyze_kernel, format_analysis
 from ..obs.metrics_registry import registry
 from ..obs.trace import tracer
-from ..options import ENGINES, SimOptions, active_options, use_options
+from ..options import ENGINES, SimOptions, current_options, use_options
 from ..sim.arch import TITAN_V_SIM, TITAN_V_SIM_32K
 from ..workloads import WORKLOADS, get_workload, table2_rows
 
@@ -199,10 +197,10 @@ def _write_trace_artifacts(path: str, command: str, opts: SimOptions) -> None:
 def _resolve_options(args) -> SimOptions:
     """One resolved :class:`SimOptions` per invocation.
 
-    Explicit flags win; an already-active configuration (e.g. the outer
-    ``catt all`` driving per-figure sub-invocations, or a
-    :class:`repro.Session` embedding the CLI) is inherited; the deprecated
-    environment variables are folded in only when nothing is active.
+    Explicit flags win over the current options, so an already-active
+    configuration (e.g. the outer ``catt all`` driving per-figure
+    sub-invocations, or a :class:`repro.Session` embedding the CLI) is
+    inherited.
     """
     overrides: dict = {}
     if args.engine:
@@ -222,10 +220,7 @@ def _resolve_options(args) -> SimOptions:
         overrides["metrics"] = True
     if getattr(args, "cache", None) is not None:
         overrides["cache_dir"] = args.cache
-    base = active_options()
-    if base is not None:
-        return base.replace(**overrides) if overrides else base
-    return SimOptions.from_env(**overrides)
+    return current_options().replace(**overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -54,9 +54,9 @@ from ..obs.metrics_registry import registry as _registry
 from ..obs.trace import span as _span, tracer as _tracer
 from ..options import (
     SimOptions,
-    active_options,
     current_options,
     set_active_options,
+    use_options,
 )
 from ..testing.faults import ChaosPlan, check_worker_fault, set_worker_chaos
 from ..transform.diagnostics import E_SIM, Diagnostic
@@ -124,14 +124,11 @@ _IN_WORKER = False
 _CHECKPOINT_HOOK = None
 
 
-def _init_worker(options: SimOptions | None, trace_on: bool,
+def _init_worker(options: SimOptions, trace_on: bool,
                  metrics_on: bool) -> None:
-    """Worker initializer: carry the parent's resolved configuration over.
-
-    This replaces the old reliance on fork-time environment inheritance —
-    it works under any start method and keeps :func:`repro.options.
-    current_options` the single source of truth inside workers too.
-    """
+    """Worker initializer: carry the parent's resolved configuration over,
+    so :func:`repro.options.current_options` in a worker returns what it
+    returns in the parent, under any start method."""
     global _IN_WORKER
     _IN_WORKER = True
     set_active_options(options)
@@ -511,8 +508,8 @@ def run_sweep(
 
     ``jobs > 1`` fans the uncached cells out over supervised worker
     processes; the cache content is identical to a sequential run.
-    ``options`` (default: the currently active :class:`SimOptions`) is
-    shipped to every worker at spawn — no environment mutation, so the
+    ``options`` (default: :func:`~repro.options.current_options`) governs
+    the in-process cells and is shipped to every worker at spawn, so the
     sweep behaves identically under fork and spawn start methods.  Worker
     span/metric streams are merged back in caller cell order.
 
@@ -528,15 +525,14 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if options is None:
-        options = active_options()
+        options = current_options()
     policy = policy or DEFAULT_POLICY
     cache = cache or default_cache()
     cells = list(dict.fromkeys(cells))
     # Cache keys carry the options signature (suffix only for non-default
     # configurations) so e.g. multi-SM sweeps never collide with — or
     # poison — single-SM records.
-    signature = (options if options is not None
-                 else current_options()).signature()
+    signature = options.signature()
     t0 = time.perf_counter()
     stats = {"retried": 0, "timeouts": 0, "crashes": 0, "quarantined": 0}
     reg = _registry()
@@ -579,13 +575,7 @@ def run_sweep(
                 # so an explicitly-passed ``options`` governs the cells (and
                 # the signature-aware keys above) exactly like it does in
                 # workers.
-                from contextlib import nullcontext
-
-                from ..options import use_options
-
-                scope = use_options(options) if options is not None \
-                    else nullcontext()
-                with scope:
+                with use_options(options):
                     for cell in todo:
                         for attempt in range(policy.retries + 1):
                             result = _run_cell(cell)[1]

@@ -1,35 +1,16 @@
 """Simulation options: the single source of truth for engine/dedup/cache/jobs.
 
-Historically three environment variables steered the simulator and the
-experiment harness from three different call sites:
-
-* ``REPRO_SIM_ENGINE`` — ``"tape"`` (default) | ``"compiled"`` |
-  ``"interp"``;
-* ``REPRO_SIM_DEDUP`` — ``"1"`` (default) | ``"0"`` (only affects
-  ``"compiled"``);
-* ``REPRO_CACHE`` — result-cache location (``""`` = memory-only).
-
-They still work, but are **deprecated**: reading one emits a
-:class:`DeprecationWarning` (once per variable per process) pointing at
-:class:`SimOptions` / :class:`repro.api.Session`.  New code constructs a
-``SimOptions`` and either passes it explicitly (``run_sweep(...,
-options=...)``) or activates it process-wide via :func:`use_options` — which
-is exactly what ``Session`` does, resolving the environment *once* at
-construction instead of at every launch.
+A run's configuration is one :class:`SimOptions`.  Code either passes it
+explicitly (``run_sweep(..., options=...)``) or activates it process-wide
+for a block via :func:`use_options` — which is what :class:`repro.api.
+Session` and the ``catt`` CLI do.  With nothing active the simulator runs
+under ``SimOptions()``; no environment variable changes that.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
-
-ENGINE_ENV = "REPRO_SIM_ENGINE"   # "tape" (default) | "compiled" | "interp"
-DEDUP_ENV = "REPRO_SIM_DEDUP"     # "1" (default) | "0"; compiled engine only
-CACHE_ENV = "REPRO_CACHE"         # result-cache path ("" = memory-only)
-SANITIZE_ENV = "REPRO_SIM_SANITIZE"   # "" / "0" (default off) | anything else
 
 ENGINES = ("compiled", "interp", "tape")
 
@@ -73,45 +54,6 @@ class SimOptions:
         if self.sms < 1:
             raise ValueError(f"sms must be >= 1, got {self.sms}")
 
-    # -- env shim -----------------------------------------------------------
-    @classmethod
-    def from_env(cls, warn: bool = True, **overrides) -> "SimOptions":
-        """Resolve the deprecated environment variables into options.
-
-        ``warn=True`` emits one :class:`DeprecationWarning` per variable per
-        process when the variable is actually set.  Keyword ``overrides``
-        win over the environment.
-        """
-        kw: dict = {}
-        raw = os.environ.get(ENGINE_ENV)
-        if raw is not None:
-            if warn:
-                _deprecate(ENGINE_ENV, "SimOptions(engine=...)")
-            value = raw.strip().lower()
-            if value not in ENGINES:
-                # Fail loudly at resolution time instead of silently coercing
-                # to the default and misattributing every downstream result.
-                raise ValueError(
-                    f"{ENGINE_ENV}={raw!r} is not a valid engine; choose one "
-                    f"of {ENGINES}")
-            kw["engine"] = value
-        raw = os.environ.get(DEDUP_ENV)
-        if raw is not None:
-            if warn:
-                _deprecate(DEDUP_ENV, "SimOptions(dedup=...)")
-            kw["dedup"] = raw.strip() != "0"
-        raw = os.environ.get(CACHE_ENV)
-        if raw is not None:
-            if warn:
-                _deprecate(CACHE_ENV, "SimOptions(cache_dir=...)")
-            kw["cache_dir"] = raw
-        raw = os.environ.get(SANITIZE_ENV)
-        if raw is not None:
-            # Not deprecated: REPRO_SIM_SANITIZE is the supported CI switch.
-            kw["sanitize"] = raw.strip() not in ("", "0")
-        kw.update(overrides)
-        return cls(**kw)
-
     def replace(self, **changes) -> "SimOptions":
         return replace(self, **changes)
 
@@ -151,32 +93,8 @@ class SimOptions:
         }
 
 
-_warned: set[str] = set()
-
-
-def _deprecate(var: str, instead: str) -> None:
-    if var in _warned:
-        return
-    _warned.add(var)
-    warnings.warn(
-        f"environment variable {var} is deprecated; construct "
-        f"repro.SimOptions ({instead}) and pass it through "
-        f"repro.Session / use_options() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
+_DEFAULT = SimOptions()
 _ACTIVE: SimOptions | None = None
-
-# Memoized env resolution so per-launch option reads stay O(getenv).
-_env_memo: tuple[tuple, SimOptions] | None
-_env_memo = None
-
-
-def active_options() -> SimOptions | None:
-    """The explicitly-activated options, or None when running off the env."""
-    return _ACTIVE
 
 
 def set_active_options(options: SimOptions | None) -> SimOptions | None:
@@ -198,33 +116,12 @@ def use_options(options: SimOptions | None):
 
 
 def current_options() -> SimOptions:
-    """What the simulator should use *right now*.
-
-    Explicitly-activated options win; otherwise the (deprecated) environment
-    is resolved — memoized on the raw variable values, so monkeypatched
-    environments in tests still take effect immediately.
-    """
-    if _ACTIVE is not None:
-        return _ACTIVE
-    global _env_memo
-    key = (os.environ.get(ENGINE_ENV), os.environ.get(DEDUP_ENV),
-           os.environ.get(CACHE_ENV), os.environ.get(SANITIZE_ENV))
-    if _env_memo is None or _env_memo[0] != key:
-        _env_memo = (key, SimOptions.from_env())
-    return _env_memo[1]
+    """The active options, or ``SimOptions()`` when none are active."""
+    return _ACTIVE if _ACTIVE is not None else _DEFAULT
 
 
 def resolve_cache_path(default: str) -> str:
-    """Cache location for :class:`~repro.experiments.common.ResultCache`.
-
-    Active options win, then the deprecated ``REPRO_CACHE`` variable, then
-    ``default``.
-    """
-    opts = _ACTIVE
-    if opts is not None and opts.cache_dir is not None:
-        return opts.cache_dir
-    raw = os.environ.get(CACHE_ENV)
-    if raw is not None:
-        _deprecate(CACHE_ENV, "SimOptions(cache_dir=...)")
-        return raw
-    return default
+    """Cache location for :class:`~repro.experiments.common.ResultCache`:
+    the current options' ``cache_dir``, else ``default``."""
+    cache_dir = current_options().cache_dir
+    return default if cache_dir is None else cache_dir

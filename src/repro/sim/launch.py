@@ -23,15 +23,11 @@ from ..analysis.occupancy import (
 from ..frontend.ast_nodes import CType, DeclStmt, FunctionDef, TranslationUnit, statements_in
 from ..obs.metrics_registry import registry as _metrics_registry
 from ..obs.trace import span as _span
-# Engine selection resolves through SimOptions (repro.options): explicitly
-# activated options win (the Session / CLI path); otherwise the deprecated
-# REPRO_SIM_ENGINE / REPRO_SIM_DEDUP environment variables are shimmed
-# through with a DeprecationWarning.  ENGINE_ENV / DEDUP_ENV are re-exported
-# here for backward compatibility.
-from ..options import DEDUP_ENV, ENGINE_ENV, current_options  # noqa: F401
+from ..options import current_options
 from .arch import GPUSpec, SMConfig, as_dim3
 from .cache import CacheStats
 from .compile import CompiledWarp, compile_kernel
+from .events import SyncEvent
 from .interp import (
     KernelArgs,
     SharedBlock,
@@ -45,14 +41,6 @@ from .replay import record_block_streams
 from .sanitize import SanitizerResult, ShadowState, merge_shadows
 
 Dim3 = tuple[int, int, int]
-
-
-def _engine_choice() -> str:
-    return current_options().engine
-
-
-def _dedup_enabled() -> bool:
-    return current_options().dedup
 
 
 @dataclass(frozen=True)
@@ -132,6 +120,52 @@ def shared_layout_of(kernel: FunctionDef, dynamic_bytes: int = 0
         offset = (offset + 7) & ~7
         layout[name] = (offset, ctype, (max(count, 1),))
     return layout
+
+
+class EventBudgetExceeded(Exception):
+    """A lockstep functional run used up its event budget."""
+
+
+def run_lockstep(tbs, max_events: int | None = None) -> tuple[int, bool]:
+    """Execute TBs functionally (no timing), one after another.
+
+    ``tbs`` yields one list of warp generators per TB.  Within a TB each
+    warp advances until it parks at a ``__syncthreads()`` (yields a
+    :class:`~repro.sim.events.SyncEvent`) or terminates, and the barrier
+    releases once every live warp has arrived, so warps communicate through
+    shared memory in program order.  A warp terminating while siblings wait
+    at a barrier is the CUDA barrier-divergence hazard: the barrier releases
+    anyway (the timing engine's semantics) and the hazard is reported.
+
+    Returns ``(events, hazard)``.  Raises :class:`EventBudgetExceeded` once
+    more than ``max_events`` events have run.
+    """
+    budget = max_events if max_events is not None else float("inf")
+    events = 0
+    hazard = False
+    for warps in tbs:
+        state = ["run"] * len(warps)
+        while True:
+            for w, gen in enumerate(warps):
+                if state[w] != "run":
+                    continue
+                state[w] = "done"
+                for ev in gen:
+                    events += 1
+                    if events > budget:
+                        raise EventBudgetExceeded(
+                            f"exceeded {max_events} events")
+                    if isinstance(ev, SyncEvent):
+                        state[w] = "barrier"
+                        break
+            waiting = [w for w, s in enumerate(state) if s == "barrier"]
+            if not waiting:
+                break                       # every warp terminated
+            if "done" in state:
+                hazard = True
+            for w in waiting:
+                state[w] = "run"
+    return events, hazard
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +259,12 @@ def launch_kernel(
     Parameters mirror a CUDA ``<<<grid, block>>>`` launch; ``args`` carries
     (param name, resolved scalar or device address, declared CType).  The
     timed SMs execute the TBs assigned to SMs ``[0, sms)`` under round-robin
-    distribution over ``spec.num_sms`` (``sms`` defaults to the active
-    :class:`~repro.options.SimOptions`; at 1 this is the classic single-SM
-    model on SM 0).  ``max_tbs`` optionally caps the simulated TB count (for
-    quick tests).  ``carveout_kb`` overrides the Eq.-4 carveout choice.
+    distribution over ``spec.num_sms`` (``sms`` defaults to
+    :func:`~repro.options.current_options`; at 1 this is the classic
+    single-SM model on SM 0).  The engine, dedup and sanitizer also come
+    from the current options, read once per launch.  ``max_tbs`` optionally
+    caps the simulated TB count (for quick tests).  ``carveout_kb``
+    overrides the Eq.-4 carveout choice.
     """
     with _span("sim.launch", kernel=kernel_name) as sp:
         result, recorded = _launch_kernel(unit, kernel_name, grid, block,
@@ -321,10 +357,11 @@ def _launch_kernel(
     this launch) or ``"none"`` (generated while the timing loop runs)."""
     from .sm import SMEngine  # local import to avoid cycles in tooling
 
+    opts = current_options()
     if sms is None:
-        sms = current_options().sms
+        sms = opts.sms
     if l1_ata is None:
-        l1_ata = current_options().l1_ata
+        l1_ata = opts.l1_ata
 
     kernel = unit.kernel(kernel_name)
     grid3, block3 = as_dim3(grid), as_dim3(block)
@@ -358,7 +395,7 @@ def _launch_kernel(
 
     # Shadow-memory race sanitizer: one ShadowState per TB, shared by the
     # TB's warps.  Disables dedup below (every slot must execute for real).
-    sanitize = current_options().sanitize
+    sanitize = opts.sanitize
     shadows: list[ShadowState] = []
     global_bases = [(value, name) for name, value, ctype in args
                     if ctype.is_pointer]
@@ -373,7 +410,7 @@ def _launch_kernel(
     recorded = "none"
     compiled = None
     tape_streams = None
-    choice = _engine_choice()
+    choice = opts.engine
     if choice == "tape":
         from .tape import lower_kernel, record_tape_streams
 
@@ -424,7 +461,7 @@ def _launch_kernel(
     # engine.  Any launch with more than one slot benefits — many TBs, or a
     # single TB with many warps.
     dedup_streams = None
-    if compiled is not None and tape_streams is None and _dedup_enabled() \
+    if compiled is not None and tape_streams is None and opts.dedup \
             and not sanitize and total_tbs * warps_per_tb > 1:
         from ..analysis.dataflow import block_homogeneity
 
@@ -516,20 +553,17 @@ def _launch_kernel(
 
     # Functionally execute the TBs not assigned to the simulated SM (or cut
     # by max_tbs) so device memory holds the full kernel result.  They do not
-    # contribute to timing — other SMs run them "in parallel".  The widened
-    # dedup and tape passes already performed every TB's memory effects
-    # exactly once, so they must not (and do not) re-execute anything here.
+    # contribute to timing — other SMs run them "in parallel" — but their
+    # warps still meet at every barrier.  The widened dedup and tape passes
+    # already performed every TB's memory effects exactly once, so they must
+    # not (and do not) re-execute anything here.
     if streams is None:
         timed = set(tb_ids)
         if len(timed) < total_tbs:
             with _span("sim.shadow_exec", kernel=kernel_name,
                        tbs=total_tbs - len(timed)):
-                for tb_id in range(total_tbs):
-                    if tb_id in timed:
-                        continue
-                    for gen in warp_factory(tb_id):
-                        for _ in gen:
-                            pass
+                run_lockstep(warp_factory(tb_id) for tb_id in range(total_tbs)
+                             if tb_id not in timed)
 
     sanitizer_result = merge_shadows(shadows) if sanitize else None
 

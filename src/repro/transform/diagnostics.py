@@ -25,7 +25,6 @@ CATT-E-PROVED-RACE         error     barrier-interval analysis proved a
                                      cross-thread shared-memory race
 CATT-W-RACE-UNKNOWN        warning   a shared (array, interval) pair could not
                                      be classified safe or racy
-CATT-W-SEARCH              warning   throttle search degraded for one loop
 CATT-W-BUDGET              warning   analysis budget exhausted; partial results
 CATT-W-REVERTED            warning   validation gate reverted a transform
 CATT-W-STATIC-PROOF        warning   static safety proof crashed; the
@@ -62,7 +61,6 @@ E_DIVERGENT_BARRIER = "CATT-E-DIVERGENT-BARRIER"
 E_SHARED_RACE = "CATT-E-SHARED-RACE"   # retired; see E_PROVED_RACE
 E_PROVED_RACE = "CATT-E-PROVED-RACE"
 W_RACE_UNKNOWN = "CATT-W-RACE-UNKNOWN"
-W_SEARCH = "CATT-W-SEARCH"
 W_BUDGET = "CATT-W-BUDGET"
 W_REVERTED = "CATT-W-REVERTED"
 W_STATIC_PROOF = "CATT-W-STATIC-PROOF"

@@ -59,7 +59,6 @@ from .diagnostics import (
     I_VALIDATE_SKIP,
     W_BUDGET,
     W_REVERTED,
-    W_SEARCH,
     W_STATIC_PROOF,
     DiagnosticLog,
 )
@@ -436,8 +435,6 @@ def force_throttle(
     n: int,
     m: int,
     grid=None,
-    on_error: str = "raise",
-    diagnostics: DiagnosticLog | None = None,
 ) -> TranslationUnit:
     """Apply a fixed (N, M) throttle to every top-level loop of one kernel.
 
@@ -446,66 +443,36 @@ def force_throttle(
     factors chosen by search instead of analysis.
 
     Invalid factors raise :class:`repro.errors.ThrottleSearchError` (a
-    ``ValueError`` subclass) when ``on_error="raise"`` (the default); with
-    ``on_error="degrade"`` the offending throttling level is skipped per loop
-    and recorded on ``diagnostics`` instead — the returned unit is always
-    runnable.
+    ``ValueError`` subclass); a loop the warp split cannot copy raises
+    :class:`repro.errors.WarpSplitError`.
     """
-    if on_error not in ("raise", "degrade"):
-        raise ValueError(f"on_error must be 'raise' or 'degrade', "
-                         f"got {on_error!r}")
-    log = diagnostics if diagnostics is not None else DiagnosticLog()
     analysis = analyze_kernel(unit, kernel_name, block, spec, grid=grid)
     warps = analysis.occupancy.warps_per_tb
     if n not in candidate_ns(warps):
-        if on_error == "raise":
-            raise ThrottleSearchError(
-                f"N={n} not a valid division of {warps} warps",
-                kernel=kernel_name)
-        log.emit(W_SEARCH, "analysis",
-                 f"N={n} not a valid division of {warps} warps; warp-level "
-                 f"throttling skipped", kernel=kernel_name)
-        n = 1
+        raise ThrottleSearchError(
+            f"N={n} not a valid division of {warps} warps",
+            kernel=kernel_name)
     kernel = unit.kernel(kernel_name)
     if n > 1:
         for la in analysis.loops:
-            if la.record.depth != 0:
-                continue
-            try:
+            if la.record.depth == 0:
                 kernel = split_loop_for_warp_groups(
                     kernel, la.record.stmt, n, warps, analysis.block_dim,
                     spec.warp_size,
                 )
-            except WarpSplitError as exc:
-                if on_error == "raise":
-                    raise
-                log.emit(W_SEARCH, "transform",
-                         f"warp split skipped: {exc}", kernel=kernel_name,
-                         loop_id=la.record.loop_id)
-                continue
     if m > 0:
         target = analysis.occupancy.tb_sm - m
-        plan = None
         if target < 1:
-            if on_error == "raise":
-                raise ThrottleSearchError(
-                    f"M={m} leaves no resident TBs", kernel=kernel_name)
-            log.emit(W_SEARCH, "analysis",
-                     f"M={m} leaves no resident TBs; TB-level throttling "
-                     f"skipped", kernel=kernel_name)
-        else:
-            plan = tb_throttle_plan(
-                spec, shared_usage_bytes(unit.kernel(kernel_name)), target
-            )
-            if plan is None:
-                if on_error == "raise":
-                    raise ThrottleSearchError(
-                        f"cannot express a {target}-TB limit via carveout",
-                        kernel=kernel_name)
-                log.emit(W_SEARCH, "analysis",
-                         f"cannot express a {target}-TB limit via carveout; "
-                         f"TB-level throttling skipped", kernel=kernel_name)
-        if plan is not None and plan.dummy_bytes > 0:
+            raise ThrottleSearchError(
+                f"M={m} leaves no resident TBs", kernel=kernel_name)
+        plan = tb_throttle_plan(
+            spec, shared_usage_bytes(unit.kernel(kernel_name)), target
+        )
+        if plan is None:
+            raise ThrottleSearchError(
+                f"cannot express a {target}-TB limit via carveout",
+                kernel=kernel_name)
+        if plan.dummy_bytes > 0:
             kernel = add_dummy_shared(kernel, plan.dummy_bytes)
     return with_function(unit, kernel)
 

@@ -10,8 +10,9 @@ outputs diverge — or that introduces a ``__syncthreads()`` barrier-divergence
 hazard the original did not have — is reverted and recorded as a
 ``CATT-W-REVERTED`` diagnostic.
 
-The executor here is *functional and lockstep*, not the timing simulator:
-each warp of a TB advances until it parks at a barrier (yields
+The executor here is *functional and lockstep*, not the timing simulator
+(:func:`repro.sim.launch.run_lockstep`, which also runs a launch's untimed
+TBs): each warp of a TB advances until it parks at a barrier (yields
 :class:`~repro.sim.events.SyncEvent`) or terminates; the barrier releases
 when every non-terminated warp has arrived.  A warp terminating while
 siblings wait at a barrier is exactly the CUDA barrier-divergence hazard
@@ -35,7 +36,6 @@ import numpy as np
 from ..analysis.occupancy import shared_usage_bytes
 from ..frontend.ast_nodes import FunctionDef, TranslationUnit
 from ..sim.arch import as_dim3
-from ..sim.events import SyncEvent
 from ..sim.interp import (
     KernelArgs,
     SharedBlock,
@@ -43,7 +43,12 @@ from ..sim.interp import (
     WarpInterpreter,
     np_dtype_for,
 )
-from ..sim.launch import resolve_args, shared_layout_of
+from ..sim.launch import (
+    EventBudgetExceeded,
+    resolve_args,
+    run_lockstep,
+    shared_layout_of,
+)
 from ..sim.memory import GlobalMemory, MemoryError_
 from ..testing.faults import check_fault
 
@@ -75,10 +80,6 @@ class ValidationReport:
     @property
     def must_revert(self) -> bool:
         return self.status in (DIVERGED, DEADLOCK)
-
-
-class _EventBudgetExceeded(Exception):
-    """The bounded functional run used up its event budget."""
 
 
 @dataclass
@@ -165,50 +166,19 @@ def run_functional(
     layout = shared_layout_of(kernel)
     shared_bytes = max(shared_usage_bytes(kernel), 1)
 
-    total_tbs = grid3[0] * grid3[1] * grid3[2]
-    events = 0
-    hazard = False
-    for tb_id in range(min(total_tbs, max_tbs)):
+    def tb_warps(tb_id: int) -> list:
         bx = tb_id % grid3[0]
         by = (tb_id // grid3[0]) % grid3[1]
         bz = tb_id // (grid3[0] * grid3[1])
         shared = SharedBlock(shared_bytes)
-        gens = []
-        for w in range(warps_per_tb):
-            interp = WarpInterpreter(
-                unit, kernel, memory, shared, layout, kargs,
-                (bx, by, bz), block3, grid3, w,
-            )
-            gens.append(interp.run())
-        state = ["run"] * warps_per_tb
-        while True:
-            for w, gen in enumerate(gens):
-                if state[w] != "run":
-                    continue
-                while True:
-                    try:
-                        ev = next(gen)
-                    except StopIteration:
-                        state[w] = "done"
-                        break
-                    events += 1
-                    if events > max_events:
-                        raise _EventBudgetExceeded(
-                            f"exceeded {max_events} events")
-                    if isinstance(ev, SyncEvent):
-                        state[w] = "barrier"
-                        break
-            waiting = [w for w in range(warps_per_tb)
-                       if state[w] == "barrier"]
-            if not waiting:
-                break                       # every warp terminated
-            if any(s == "done" for s in state):
-                # CUDA barrier-divergence hazard: siblings park at a
-                # barrier a terminated warp will never reach.  Release
-                # anyway (the timing engine's semantics) but record it.
-                hazard = True
-            for w in waiting:
-                state[w] = "run"
+        return [WarpInterpreter(unit, kernel, memory, shared, layout, kargs,
+                                (bx, by, bz), block3, grid3, w).run()
+                for w in range(warps_per_tb)]
+
+    total_tbs = grid3[0] * grid3[1] * grid3[2]
+    events, hazard = run_lockstep(
+        (tb_warps(tb_id) for tb_id in range(min(total_tbs, max_tbs))),
+        max_events)
     final = {name: np.array(memory.find(addr).buffer)
              for name, addr in addrs.items()}
     return _FunctionalRun(buffers=final, barrier_hazard=hazard, events=events)
@@ -268,7 +238,7 @@ def differential_validate(
             last_exc: Exception = exc
             if elems is None or elems > (1 << 24):
                 break
-        except (SimulationError, _EventBudgetExceeded,
+        except (SimulationError, EventBudgetExceeded,
                 ZeroDivisionError, OverflowError) as exc:
             return ValidationReport(kernel_name, INCONCLUSIVE,
                                     f"original kernel not runnable: {exc}")
@@ -278,7 +248,7 @@ def differential_validate(
     try:
         test = run_functional(transformed, kernel_name, grid, block, arrays,
                               scalars, max_tbs=max_tbs, max_events=max_events)
-    except _EventBudgetExceeded as exc:
+    except EventBudgetExceeded as exc:
         # The original fit the same budget; the transform runs away.
         return ValidationReport(kernel_name, DEADLOCK, str(exc))
     except (SimulationError, MemoryError_, ZeroDivisionError,

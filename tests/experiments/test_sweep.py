@@ -3,8 +3,6 @@ cache interaction, degraded handling, and the runner CLI flags."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments.common import AppResult, ResultCache
@@ -88,23 +86,23 @@ def test_degraded_cell_stays_transient(monkeypatch, tmp_path):
 
 
 def test_runner_no_dedup_flag_activates_options(monkeypatch, capsys):
-    """--no-dedup resolves into the active SimOptions instead of mutating
-    os.environ (the old plumbing)."""
-    from repro import options as options_mod
+    """--no-dedup resolves into the SimOptions active for the command, on
+    top of any options already active, and the scope is restored after."""
     from repro.experiments import runner as runner_mod
+    from repro.options import SimOptions, current_options, use_options
 
-    monkeypatch.delenv("REPRO_SIM_DEDUP", raising=False)
-    seen = {}
+    seen = []
 
     def spy_table2():
-        seen["options"] = options_mod.current_options()
+        seen.append(current_options())
         return "table2"
 
     monkeypatch.setattr(runner_mod, "_print_table2", spy_table2)
     assert main(["table2", "--no-dedup"]) == 0
-    assert seen["options"].dedup is False
-    assert os.environ.get("REPRO_SIM_DEDUP") is None   # env untouched
-    assert options_mod.active_options() is None        # scope restored
+    assert current_options() == SimOptions()           # scope restored
+    with use_options(SimOptions(sms=2)):
+        assert main(["table2", "--no-dedup"]) == 0
+    assert seen == [SimOptions(dedup=False), SimOptions(dedup=False, sms=2)]
     capsys.readouterr()
 
 
@@ -118,10 +116,15 @@ def test_runner_jobs_flag_parses(capsys):
 
 
 def test_result_cache_key_sms_suffix():
+    from repro.options import SimOptions
+
     cell = ("ATAX", "baseline", "max", "test")
-    assert ResultCache.key(*cell) == ResultCache.key(*cell, sms=1)
-    assert "sms" not in ResultCache.key(*cell)      # sms=1 keys unchanged
-    assert ResultCache.key(*cell, sms=4).endswith("|sms4")
+    sms1, sms4 = (ResultCache.key(*cell,
+                                  signature=SimOptions(sms=k).signature())
+                  for k in (1, 4))
+    assert sms1 == ResultCache.key(*cell)
+    assert "sms" not in sms1                        # sms=1 keys unchanged
+    assert sms4.endswith("|sms4")
 
 
 def test_sweep_sms_cells_deterministic_across_jobs(tmp_path):

@@ -8,36 +8,31 @@ buffers) and identical cache/IPC metrics to the reference AST-walk
 interpreter.  This is the acceptance gate for both performance engines:
 any divergence in cycles, hit rates, transaction counts or verified
 output fails the corresponding app's test.  The tape engine runs under
-the default options (no engine set), so the gate also pins that the
-default reaches the tape on every registry launch.
+the default ``SimOptions()``, so the gate also pins that the default
+reaches the tape on every registry launch.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.launch import DEDUP_ENV, ENGINE_ENV
+from repro.options import SimOptions, use_options
+from repro.sim.arch import TITAN_V
 from repro.workloads import WORKLOADS, get_workload
 from repro.workloads.base import run_workload
 
-# label -> (REPRO_SIM_ENGINE, REPRO_SIM_DEDUP); None leaves the variable
-# unset, so "default" runs under SimOptions() — the tape engine.
 CONFIGS = {
-    "interp": ("interp", "0"),
-    "compiled": ("compiled", "0"),
-    "compiled+dedup": ("compiled", "1"),
-    "default": (None, None),
-    "tape": ("tape", "0"),
+    "interp": SimOptions(engine="interp", dedup=False),
+    "compiled": SimOptions(engine="compiled", dedup=False),
+    "compiled+dedup": SimOptions(engine="compiled", dedup=True),
+    "default": SimOptions(),
+    "tape": SimOptions(engine="tape", dedup=False),
 }
 
 
-def _run(app: str, monkeypatch, label: str):
-    for var, value in zip((ENGINE_ENV, DEDUP_ENV), CONFIGS[label]):
-        if value is None:
-            monkeypatch.delenv(var, raising=False)
-        else:
-            monkeypatch.setenv(var, value)
-    run = run_workload(get_workload(app, scale="test"))
+def _run(app: str, label: str):
+    with use_options(CONFIGS[label]):
+        run = run_workload(get_workload(app, scale="test"))
     signature = [
         (r.kernel_name, tuple(sorted(r.metrics.summary().items())))
         for r in run.results
@@ -47,14 +42,14 @@ def _run(app: str, monkeypatch, label: str):
 
 
 @pytest.mark.parametrize("app", sorted(WORKLOADS))
-def test_engines_match_interpreter(app, monkeypatch):
+def test_engines_match_interpreter(app):
     """Three-way differential: interp vs compiled (±dedup) vs tape."""
-    ref_sig, ref_verified, ref_engines = _run(app, monkeypatch, "interp")
+    ref_sig, ref_verified, ref_engines = _run(app, "interp")
     assert ref_verified is True
     assert ref_engines == {"interp"}
 
     for label in ("compiled", "compiled+dedup", "default"):
-        sig, verified, engines = _run(app, monkeypatch, label)
+        sig, verified, engines = _run(app, label)
         assert sig == ref_sig, f"{app}: {label} metrics diverge from interp"
         assert verified is True, f"{app}: {label} functional results diverge"
         # Every configuration must actually exercise its engine — a silent
@@ -70,13 +65,24 @@ def test_engines_match_interpreter(app, monkeypatch):
             )
 
 
-def test_dedup_engine_label(monkeypatch):
+def test_dedup_engine_label():
     """A dedup-eligible multi-TB app reports the widened-replay engine."""
-    _, _, engines = _run("ATAX", monkeypatch, "compiled+dedup")
+    _, _, engines = _run("ATAX", "compiled+dedup")
     assert "compiled+dedup" in engines
 
 
-def test_tape_engine_label(monkeypatch):
+def test_tape_engine_label():
     """The tape engine labels every launch it records."""
-    _, _, engines = _run("ATAX", monkeypatch, "tape")
+    _, _, engines = _run("ATAX", "tape")
     assert engines == {"tape"}
+
+
+@pytest.mark.parametrize("engine", ["interp", "compiled"])
+@pytest.mark.parametrize("app", sorted(WORKLOADS))
+def test_untimed_tbs_compute_the_kernel_result(app, engine):
+    """On the 80-SM part SM 0 times every 80th TB and the launch runs the
+    other TBs functionally.  Their warps must still meet at every barrier,
+    or cross-warp shared-memory reductions (BP, LVMD) read stale data."""
+    with use_options(SimOptions(engine=engine)):
+        run = run_workload(get_workload(app, scale="test"), spec=TITAN_V)
+    assert run.verified is True

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.options import SimOptions, use_options
 from repro.sim import replay
-from repro.sim.launch import DEDUP_ENV, ENGINE_ENV
 from repro.workloads import get_workload
 from repro.workloads.base import run_workload
 
 
-def run_app(app: str, monkeypatch, dedup: bool):
-    monkeypatch.setenv(ENGINE_ENV, "compiled")
-    monkeypatch.setenv(DEDUP_ENV, "1" if dedup else "0")
-    return run_workload(get_workload(app, scale="test"))
+def run_app(app: str, dedup: bool):
+    with use_options(SimOptions(engine="compiled", dedup=dedup)):
+        return run_workload(get_workload(app, scale="test"))
 
 
 def signature(run):
@@ -32,9 +31,9 @@ def signature(run):
 
 
 @pytest.mark.parametrize("app", ["ATAX", "GEMM"])
-def test_dedup_matches_per_tb_execution(app, monkeypatch):
-    plain = run_app(app, monkeypatch, dedup=False)
-    dedup = run_app(app, monkeypatch, dedup=True)
+def test_dedup_matches_per_tb_execution(app):
+    plain = run_app(app, dedup=False)
+    dedup = run_app(app, dedup=True)
     assert signature(dedup) == signature(plain)
     assert dedup.verified is True
     assert "compiled+dedup" in {r.engine for r in dedup.results}
@@ -44,11 +43,11 @@ def test_chunking_is_invisible(monkeypatch):
     """Forcing tiny widened chunks (many ``record_block_streams`` passes
     per launch) must not change metrics or results: chunk boundaries are a
     perf knob, not a semantic one."""
-    baseline = run_app("ATAX", monkeypatch, dedup=True)
+    baseline = run_app("ATAX", dedup=True)
     # ``max_wide_slots`` is a keyword default bound at def time — patch the
     # defaults tuple, as the launch path calls it without the argument.
     monkeypatch.setattr(replay.record_block_streams, "__defaults__", (8,))
-    chunked = run_app("ATAX", monkeypatch, dedup=True)
+    chunked = run_app("ATAX", dedup=True)
     assert signature(chunked) == signature(baseline)
     assert chunked.verified is True
 
@@ -61,37 +60,36 @@ __global__ void saxpy(float *x, float *y, float a, int n) {
 """
 
 
-def _saxpy_launch(monkeypatch, grid, block, n, dedup=True):
+def _saxpy_launch(grid, block, n, dedup=True):
     import numpy as np
 
     from repro.runtime import Device
     from repro.sim.arch import TITAN_V_SIM
 
-    monkeypatch.setenv(ENGINE_ENV, "compiled")
-    monkeypatch.setenv(DEDUP_ENV, "1" if dedup else "0")
-    dev = Device(TITAN_V_SIM)
-    x = dev.to_device(np.arange(n, dtype=np.float32))
-    y = dev.to_device(np.ones(n, dtype=np.float32))
-    res = dev.launch(SAXPY, "saxpy", grid, block, [x, y, 2.0, n])
+    with use_options(SimOptions(engine="compiled", dedup=dedup)):
+        dev = Device(TITAN_V_SIM)
+        x = dev.to_device(np.arange(n, dtype=np.float32))
+        y = dev.to_device(np.ones(n, dtype=np.float32))
+        res = dev.launch(SAXPY, "saxpy", grid, block, [x, y, 2.0, n])
     return res, y.to_host()
 
 
-def test_single_slot_launch_skips_dedup(monkeypatch):
+def test_single_slot_launch_skips_dedup():
     """A one-TB, one-warp launch has nothing to deduplicate; the launch
     gate must keep it on the plain compiled path."""
-    res, out = _saxpy_launch(monkeypatch, grid=1, block=32, n=32)
+    res, out = _saxpy_launch(grid=1, block=32, n=32)
     assert res.engine == "compiled"
     assert out[5] == 2.0 * 5 + 1.0
 
 
-def test_multi_slot_launch_uses_dedup(monkeypatch):
+def test_multi_slot_launch_uses_dedup():
     import numpy as np
 
-    res, out = _saxpy_launch(monkeypatch, grid=4, block=64, n=200)
+    res, out = _saxpy_launch(grid=4, block=64, n=200)
     assert res.engine == "compiled+dedup"
     ref = 2.0 * np.arange(200, dtype=np.float32) + 1.0
     assert np.array_equal(out, ref)
-    plain_res, plain_out = _saxpy_launch(monkeypatch, grid=4, block=64,
-                                         n=200, dedup=False)
+    plain_res, plain_out = _saxpy_launch(grid=4, block=64, n=200,
+                                         dedup=False)
     assert np.array_equal(out, plain_out)
     assert plain_res.metrics.summary() == res.metrics.summary()

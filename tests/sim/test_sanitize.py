@@ -64,13 +64,6 @@ def test_off_by_default():
     assert not current_options().sanitize
 
 
-def test_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
-    assert current_options().sanitize
-    monkeypatch.setenv("REPRO_SIM_SANITIZE", "0")
-    assert not current_options().sanitize
-
-
 def test_atomic_pairs_not_reported():
     src = """
 __global__ void k(int *out) {

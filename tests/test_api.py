@@ -1,23 +1,13 @@
-"""Session facade tests: option resolution, env deprecation shim,
-bit-identical results vs the legacy env path, and observability wiring."""
+"""Session facade tests: option resolution, the retired environment
+variables, and observability wiring."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import Session, SimOptions
-from repro.options import (
-    CACHE_ENV,
-    DEDUP_ENV,
-    ENGINE_ENV,
-    active_options,
-    current_options,
-    resolve_cache_path,
-    use_options,
-)
+from repro.options import current_options, resolve_cache_path, use_options
 
 SRC = """
 __global__ void scale(float* x, float* y, int n) {
@@ -25,13 +15,6 @@ __global__ void scale(float* x, float* y, int n) {
     if (i < n) y[i] = 2.0f * x[i];
 }
 """
-
-
-def _fresh_warnings(monkeypatch):
-    """Make the once-per-process deprecation warnings observable again."""
-    from repro import options as options_mod
-
-    monkeypatch.setattr(options_mod, "_warned", set())
 
 
 # -- SimOptions ------------------------------------------------------------
@@ -44,13 +27,13 @@ def test_simoptions_validation():
         SimOptions(jobs=0)
 
 
-def test_simoptions_cache_path_semantics(monkeypatch, tmp_path):
+def test_simoptions_cache_path_semantics(tmp_path):
     """``cache_dir`` reaches the result cache verbatim: ``None`` keeps the
     default store, ``""`` is memory-only, any other path roots a store."""
     from repro.experiments.common import ResultCache
 
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     default = str(tmp_path / "default")
+    assert resolve_cache_path(default) == default      # nothing active
     with use_options(SimOptions()):
         assert resolve_cache_path(default) == default
     with use_options(SimOptions(cache_dir="")):
@@ -62,54 +45,30 @@ def test_simoptions_cache_path_semantics(monkeypatch, tmp_path):
         assert str(ResultCache().path) == store
 
 
-def test_env_resolution_with_deprecation_warning(monkeypatch):
-    _fresh_warnings(monkeypatch)
-    monkeypatch.setenv(ENGINE_ENV, "interp")
-    monkeypatch.setenv(DEDUP_ENV, "0")
-    monkeypatch.setenv(CACHE_ENV, "")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        opts = SimOptions.from_env()
-    assert (opts.engine, opts.dedup, opts.cache_dir) == ("interp", False, "")
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 3
-    assert any(ENGINE_ENV in str(w.message) for w in deprecations)
+def test_repro_environment_variables_change_nothing(monkeypatch, tmp_path):
+    """Only SimOptions configures a run: the retired ``REPRO_*`` variables
+    reach neither a launch, a Session nor the result cache."""
+    from repro.experiments.common import ResultCache
+    from repro.runtime import Device
+    from repro.sim.arch import TITAN_V_SIM
 
-
-def test_env_deprecation_warns_once_per_var(monkeypatch):
-    _fresh_warnings(monkeypatch)
-    monkeypatch.setenv(DEDUP_ENV, "0")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        SimOptions.from_env()
-        SimOptions.from_env()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-
-
-def test_current_options_prefers_active_over_env(monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, "interp")
-    explicit = SimOptions(engine="compiled")
-    with use_options(explicit):
-        assert current_options() is explicit
-    assert current_options().engine == "interp"
-    monkeypatch.setenv(ENGINE_ENV, "compiled")
-    assert current_options().engine == "compiled"   # memo keyed on raw env
-    assert active_options() is None
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "interp")
+    monkeypatch.setenv("REPRO_SIM_DEDUP", "0")
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "env_store"))
+    monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+    assert current_options() == SimOptions()
+    assert Session("max").options == SimOptions()
+    dev = Device(TITAN_V_SIM)
+    x = dev.to_device(np.arange(64, dtype=np.float32))
+    y = dev.zeros(64, np.float32)
+    res = dev.launch(SRC, "scale", 2, 32, [x, y, 64])
+    assert res.engine == "tape" and res.sanitizer is None
+    np.testing.assert_allclose(y.to_host(), 2.0 * np.arange(64))
+    assert ResultCache().path == tmp_path / ".bench_cache"
 
 
 # -- Session ---------------------------------------------------------------
-
-
-def test_session_resolves_env_once_at_construction(monkeypatch):
-    monkeypatch.setenv(DEDUP_ENV, "0")
-    sess = Session("max")
-    assert sess.options.dedup is False
-    # Later env changes do not affect an existing session.
-    monkeypatch.setenv(DEDUP_ENV, "1")
-    assert sess.options.dedup is False
 
 
 def test_session_rejects_unknown_spec():
@@ -127,39 +86,6 @@ def test_session_end_to_end_launch():
     assert res.metrics.cycles > 0
 
 
-def test_session_matches_env_path_bit_identical(monkeypatch):
-    """The redesign contract: Session(engine=interp, no dedup) reproduces the
-    legacy REPRO_SIM_* env run exactly."""
-    from repro.runtime import Device
-    from repro.sim.arch import TITAN_V_SIM
-
-    def run_legacy():
-        monkeypatch.setenv(ENGINE_ENV, "interp")
-        monkeypatch.setenv(DEDUP_ENV, "0")
-        dev = Device(TITAN_V_SIM)
-        unit = dev.compile(SRC)
-        x = dev.to_device(np.arange(64, dtype=np.float32))
-        y = dev.zeros(64, np.float32)
-        res = dev.launch(unit, "scale", 2, 32, [x, y, 64])
-        monkeypatch.delenv(ENGINE_ENV)
-        monkeypatch.delenv(DEDUP_ENV)
-        return res, y.to_host().copy()
-
-    def run_session():
-        sess = Session("max", SimOptions(engine="interp", dedup=False))
-        unit = sess.compile(SRC)
-        x = sess.to_device(np.arange(64, dtype=np.float32))
-        y = sess.zeros(64)
-        res = sess.launch(unit, "scale", 2, 32, [x, y, 64])
-        return res, y.to_host().copy()
-
-    legacy_res, legacy_y = run_legacy()
-    sess_res, sess_y = run_session()
-    assert legacy_res.metrics.cycles == sess_res.metrics.cycles
-    assert legacy_res.metrics.instructions == sess_res.metrics.instructions
-    np.testing.assert_array_equal(legacy_y, sess_y)
-
-
 def test_session_scope_restores_ambient_state():
     from repro.obs.metrics_registry import registry
     from repro.obs.trace import tracer
@@ -168,7 +94,7 @@ def test_session_scope_restores_ambient_state():
     assert not tracer().enabled and not registry().enabled
     sess.compile(SRC)
     assert not tracer().enabled and not registry().enabled
-    assert active_options() is None
+    assert current_options() == SimOptions()
 
 
 def test_session_trace_and_manifest(tmp_path):
@@ -259,7 +185,7 @@ def test_cache_key_signature_matches_legacy_sms_suffix():
     cell = ("ATAX", "baseline", "max", "test")
     assert ResultCache.key(*cell, signature="") == ResultCache.key(*cell)
     assert ResultCache.key(*cell, signature=SimOptions(sms=4).signature()) \
-        == ResultCache.key(*cell, sms=4)
+        == "ATAX|baseline|max|test|sms4"
 
 
 # -- typed requests through the Session --------------------------------------

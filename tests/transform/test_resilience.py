@@ -1,5 +1,5 @@
 """Resilient-driver tests: fault isolation, validation gate, budgets,
-degraded force_throttle — the degradation paths of docs/ROBUSTNESS.md."""
+typed force_throttle errors — the degradation paths of docs/ROBUSTNESS.md."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from repro.transform.diagnostics import (
     E_TRANSFORM,
     W_BUDGET,
     W_REVERTED,
-    W_SEARCH,
 )
 from repro.workloads import get_workload
 
@@ -212,37 +211,6 @@ def test_unexpected_transform_bug_not_swallowed(monkeypatch):
     d, = comp.diagnostics_for("atax_kernel1")
     assert d.code == E_TRANSFORM and d.severity == "error"
     assert "TypeError" in (d.exception or "")
-
-
-# ---------------------------------------------------------------------------
-# force_throttle degradation
-# ---------------------------------------------------------------------------
-
-
-def test_force_throttle_degrades_invalid_n():
-    from repro.transform.diagnostics import DiagnosticLog
-
-    log = DiagnosticLog()
-    unit = force_throttle(parse(ATAX), "atax_kernel1", 256, TITAN_V_SIM, 3, 0,
-                          grid=4, on_error="degrade", diagnostics=log)
-    # Invalid N degrades to no warp-level throttling; unit stays runnable.
-    assert "__syncthreads" not in emit(unit.kernel("atax_kernel1"))
-    assert [d.code for d in log] == [W_SEARCH]
-
-
-def test_force_throttle_degrades_invalid_m():
-    from repro.transform.diagnostics import DiagnosticLog
-
-    log = DiagnosticLog()
-    unit = force_throttle(parse(ATAX), "atax_kernel1", 256, TITAN_V_SIM, 2, 99,
-                          grid=4, on_error="degrade", diagnostics=log)
-    text = emit(unit.kernel("atax_kernel1"))
-    # Warp level still applied; TB level skipped with a diagnostic.
-    assert text.count("__syncthreads();") == 2
-    from repro.transform.tb_throttle import DUMMY_NAME
-
-    assert DUMMY_NAME not in text
-    assert [d.code for d in log] == [W_SEARCH]
 
 
 # ---------------------------------------------------------------------------
