@@ -46,11 +46,33 @@ registry, all caught by the differential suite if a kernel hits them):
 Events are recorded only for *timed* slots (the TBs the timing engine will
 replay); untimed TBs execute purely functionally, which is most of the
 engine's speedup on large grids.
+
+Warp-split regions
+------------------
+The Fig. 4 warp split (:func:`repro.transform.split_loop_for_warp_groups`)
+turns one loop into N copies, ``if (W >= lo && W < hi) { <loop> }`` each
+followed by ``__syncthreads()``, so run as written the tape executes the
+loop N times with one warp group live.  The lowerer wraps such a run (N >= 2,
+W built from ``threadIdx``/``blockDim`` and integer literals only, ranges
+consecutive from 0, all loops equal) in one ``SPLIT`` uop.  When the loop
+holds no store, atomic, ``__device__`` call, return, barrier, ternary or
+local-array declaration, no warp has lanes in two copies, the launch is not
+sanitized and the region is not inside a ``__device__`` call, the executor
+runs each copy's guard and barrier as the copies would, runs the loop
+*once* under the union of the copies' members, and splices each timed
+warp's loop events into its stream between its own copy's guard events and
+barrier.  This is exact: with no write in the loop, memory is constant
+across the region, so the copies' order cannot change what any warp reads;
+W is constant, so evaluating the guards before the loop changes no member
+set; and a slot's events depend only on its own lanes' masks, so each warp
+records what its own copy records.  Otherwise the copies run one after
+another, as written.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -153,7 +175,17 @@ _LONG = CType("long")
     OP_SC,       # (op, dst, left, r_lo, r_hi, r_reg, is_and, end)
     OP_DEVCALL,  # (op, dst, b_lo, b_hi, params, arg_regs, is_void,
                  #  ret_ctype, ret_dtype, end)
-) = range(31)
+    OP_SPLIT,    # (op, w_lo, w_hi, w_reg, bounds, copies, fusable, end)
+) = range(32)
+
+# Uops a warp split's loop must not hold for its copies to run as one
+# masked loop: writes and calls (their order across copies is visible),
+# barriers and returns (they change other lanes' masks), ternaries (their
+# result type follows which arms have live lanes) and local-array
+# declarations (they reset the array for every lane).
+_SPLIT_BLOCKERS = frozenset(
+    (OP_STORE, OP_ATOM, OP_DEVCALL, OP_RET, OP_SYNC, OP_TERN, OP_DECLL))
+_ARITH_OPS = frozenset(("+", "-", "*", "/", "%", "<<", ">>"))
 
 _BUILTIN_KEYS = frozenset(
     (base, member)
@@ -176,6 +208,78 @@ def _disrupts(s: Stmt | None) -> bool:
     if isinstance(s, (ForStmt, WhileStmt, DoWhileStmt)):
         return any(isinstance(x, ReturnStmt) for x in statements_in(s))
     return False
+
+
+def _thread_constant(e: Expr) -> bool:
+    """Is ``e`` integer arithmetic over ``threadIdx``/``blockDim`` and
+    literals only — a value no statement of the kernel can change?"""
+    if isinstance(e, IntLit):
+        return True
+    if isinstance(e, MemberRef):
+        return isinstance(e.base, Ident) \
+            and e.base.name in ("threadIdx", "blockDim") \
+            and (e.base.name, e.member) in _BUILTIN_KEYS
+    return isinstance(e, BinOp) and e.op in _ARITH_OPS \
+        and _thread_constant(e.left) and _thread_constant(e.right)
+
+
+def _same(a, b) -> bool:
+    """AST equality that ignores source locations."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if not is_dataclass(a):
+        return a == b
+    return all(_same(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a) if f.name != "loc")
+
+
+def _guard_range(cond: Expr) -> tuple[Expr, int, int] | None:
+    """``(W, lo, hi)`` when ``cond`` is ``W >= lo && W < hi``."""
+    if not (isinstance(cond, BinOp) and cond.op == "&&"):
+        return None
+    ge, lt = cond.left, cond.right
+    if not (isinstance(ge, BinOp) and ge.op == ">="
+            and isinstance(ge.right, IntLit)
+            and isinstance(lt, BinOp) and lt.op == "<"
+            and isinstance(lt.right, IntLit) and _same(lt.left, ge.left)
+            and _thread_constant(ge.left)):
+        return None
+    return ge.left, ge.right.value, lt.right.value
+
+
+def _warp_split(stmts: tuple[Stmt, ...], i: int
+                  ) -> tuple[Expr, list[tuple[int, int]]] | None:
+    """W and the copies' ``(lo, hi)`` ranges when a warp split starts at
+    ``stmts[i]``: two or more pairs of ``if (W >= lo && W < hi) { <loop> }``
+    and ``__syncthreads()`` whose ranges run consecutively from 0, with one
+    W and one loop — the shape :func:`repro.transform.
+    split_loop_for_warp_groups` emits."""
+    bounds: list[tuple[int, int]] = []
+    w = loop = None
+    while i + 1 < len(stmts):
+        s = stmts[i]
+        if not (isinstance(s, IfStmt) and s.otherwise is None
+                and isinstance(stmts[i + 1], SyncthreadsStmt)
+                and isinstance(s.then, Block)
+                and len(s.then.statements) == 1
+                and isinstance(s.then.statements[0],
+                               (ForStmt, WhileStmt, DoWhileStmt))):
+            break
+        g = _guard_range(s.cond)
+        lo = bounds[-1][1] if bounds else 0
+        if g is None or g[1] != lo or g[2] <= lo:
+            break
+        if loop is None:
+            w, loop = g[0], s.then
+        elif not (_same(g[0], w) and _same(s.then, loop)):
+            break
+        bounds.append((lo, g[2]))
+        i += 2
+    return (w, bounds) if len(bounds) >= 2 else None
 
 
 class TapeProgram:
@@ -351,13 +455,56 @@ class _Lowerer:
         # statement (compile.py's run vs. run_clean distinction).
         chks = [self._emit([OP_CHK, 0])]
         stmts = b.statements
-        for i, s in enumerate(stmts):
-            self.stmt(s)
-            if i + 1 < len(stmts) and _disrupts(s):
+        i = 0
+        while i < len(stmts):
+            # A split region disrupts when its copies do (they are equal).
+            s = stmts[i]
+            split = _warp_split(stmts, i)
+            if split is not None:
+                w, bounds = split
+                n = 2 * len(bounds)
+                self._split_region(stmts[i:i + n], w, bounds, chks)
+                i += n
+            else:
+                self.stmt(s)
+                i += 1
+            if i < len(stmts) and _disrupts(s):
                 chks.append(self._emit([OP_CHK, 0]))
         end = len(self.uops)
         for p in chks:
             self.uops[p][1] = end
+
+    def _split_region(self, run: tuple[Stmt, ...], w: Expr,
+                      bounds: list[tuple[int, int]], chks: list[int]) -> None:
+        """Lower a warp split's copies as written, wrapped in one SPLIT uop.
+
+        The uop also holds W, the guards' warp index, lowered as a range of
+        its own so the executor can tell each copy's members before running
+        any copy, and whether the copies may run as one masked loop: the
+        loop holds no :data:`_SPLIT_BLOCKERS` uop, nothing is tallied
+        between a copy and its barrier, and the region is not inside a
+        ``__device__`` call."""
+        pos = self._emit([OP_SPLIT])
+        pending = self.pending_tally, self.pending_sfu
+        w_lo = len(self.uops)
+        w_reg = self.expr(w)
+        w_hi = len(self.uops)
+        self.pending_tally, self.pending_sfu = pending
+        copies = []
+        for k in range(0, len(run), 2):
+            g_lo = len(self.uops)
+            if_pc = self._if_stmt(run[k])
+            if _disrupts(run[k]):
+                chks.append(self._emit([OP_CHK, 0]))
+            self.stmt(run[k + 1])
+            copies.append((g_lo, if_pc))
+        uops = self.uops
+        t_lo, t_hi = uops[copies[0][1]][2:4]
+        fusable = not self._device_stack \
+            and all(uops[uops[p][6]][0] == OP_SYNC for _, p in copies) \
+            and not any(u[0] in _SPLIT_BLOCKERS for u in uops[t_lo:t_hi])
+        uops[pos] = [OP_SPLIT, w_lo, w_hi, w_reg, tuple(bounds),
+                     tuple(copies), fusable, len(uops)]
 
     def _declarator(self, s: DeclStmt, d) -> None:
         dtype = np_dtype_for(s.type)
@@ -379,7 +526,7 @@ class _Lowerer:
         self._emit([OP_DECLI, slot, v, ctype, dtype, space, ctype.is_pointer])
         self.pending_tally += 1
 
-    def _if_stmt(self, s: IfStmt) -> None:
+    def _if_stmt(self, s: IfStmt) -> int:
         c = self.expr(s.cond)
         self._end_stmt()  # compile flushes after evaluating the condition
         pos = self._emit([OP_IF, c, 0, 0, -1, -1, 0])
@@ -393,6 +540,7 @@ class _Lowerer:
             e_hi = len(self.uops)
         u = self.uops[pos]
         u[2], u[3], u[4], u[5], u[6] = t_lo, t_hi, e_lo, e_hi, len(self.uops)
+        return pos
 
     def _cond_range(self, cond: Expr) -> tuple[int, int, int]:
         """Lower a loop condition: expr + its tally + the +1 loop-test tally
@@ -790,6 +938,9 @@ class TapeExecutor:
         self.sfu_flag = False
         self.pending: list[tuple] = []
         self.tstreams: list[list[Event]] = [[] for _ in range(self.ntimed)]
+        # Warp-split regions run as one masked loop / copy by copy.
+        self.split_fused = 0
+        self.split_unfused = 0
         self._full_tbounds = [
             (tp, int(s) * WARP_SIZE, int(s) * WARP_SIZE + WARP_SIZE)
             for tp, s in enumerate(timed_slots.tolist())
@@ -1221,6 +1372,10 @@ class TapeExecutor:
                 self._devcall(u, cur)
                 pc = u[9]
                 continue
+            elif op == OP_SPLIT:
+                self._split(u, cur, frame)
+                pc = u[7]
+                continue
             else:
                 raise SimulationError(f"bad uop {op}")
             pc += 1
@@ -1504,6 +1659,50 @@ class TapeExecutor:
         else:
             regs[dst] = TypedValue(ret_store, ret_ctype)
 
+    def _split(self, u, cur, frame) -> None:
+        """Run a warp split's copies (:meth:`_Lowerer._split_region`).
+
+        Fused, each copy's guard and barrier run in turn as the copies run
+        them, the loop runs once under the union of the copies' members, and
+        each timed warp's loop events are spliced into its stream between
+        its own copy's guard events and barrier.  A launch under the
+        sanitizer, or a warp with lanes in two copies, runs the copies one
+        after another instead."""
+        _, w_lo, w_hi, w_reg, bounds, copies, fusable, end = u
+        members = None
+        if fusable and self.shadows is None:
+            self._run(w_lo, w_hi, cur, frame)
+            w = self.regs[w_reg].values
+            members = [cur & (w >= lo) & (w < hi) for lo, hi in bounds]
+            owners = np.stack(members).reshape(
+                len(members), self.nslots, WARP_SIZE).any(axis=2).sum(axis=0)
+            if (owners > 1).any():
+                members = None
+        if members is None:
+            self.split_unfused += 1
+            self._run(w_hi, end, cur, frame)
+            return
+        self.split_fused += 1
+        tstreams = self.tstreams
+        marks = []
+        for (g_lo, if_pc), m in zip(copies, members):
+            self._run(g_lo, if_pc, cur, frame)  # guard, its tally and flush
+            if self.ntimed:
+                live = np.flatnonzero(self._timed_act(m)).tolist()
+                marks += [(tp, len(tstreams[tp])) for tp in live]
+            self._sync(cur)
+        union = np.logical_or.reduce(members)
+        if not union.any():
+            return
+        self.tstreams = [[] for _ in range(self.ntimed)]
+        t_lo, t_hi = self.uops[copies[0][1]][2:4]
+        self._run(t_lo, t_hi, union, frame)
+        self._flush_point()  # what the copy's barrier would flush
+        loop_events = self.tstreams
+        self.tstreams = tstreams
+        for tp, pos in marks:
+            tstreams[tp][pos:pos] = loop_events[tp]
+
 
 # ---------------------------------------------------------------------------
 # Launch-level driver
@@ -1579,6 +1778,11 @@ def record_tape_streams(
                               chunk, block, grid, warps_per_tb, timed_local,
                               line_size, shadows)
             ex.run()
+        if reg.enabled:
+            if ex.split_fused:
+                reg.counter("sim.tape.split_fused").inc(ex.split_fused)
+            if ex.split_unfused:
+                reg.counter("sim.tape.split_unfused").inc(ex.split_unfused)
         # Timed slots come whole-TB and ascending, so each TB's warps are
         # consecutive entries of ``tstreams``.
         tstreams = ex.tstreams
