@@ -812,7 +812,8 @@ def analyze_races(analysis) -> RaceReport:
                         intervals=len(set(graph.interval)),
                         verdicts=tuple(verdicts))
     _publish(report)
-    analysis._race_report = report
+    # Derived data cached on the (frozen) analysis, like CType's dtype.
+    object.__setattr__(analysis, "_race_report", report)
     return report
 
 

@@ -30,8 +30,8 @@ halves:
   back to the dynamic gate.
 
 A transform that passes both halves is reported
-``CATT-I-STATIC-SAFE`` and skips the lockstep interpreter run entirely
-(:mod:`repro.transform.pipeline`).
+``CATT-I-STATIC-SAFE`` and skips the differential gate's functional runs
+entirely (:mod:`repro.transform.pipeline`).
 
 The same per-access machinery powers the ``catt lint`` CLI findings:
 irregular indexes, fully diverged references (``REQ_warp = 32``), divergent

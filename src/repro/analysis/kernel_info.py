@@ -9,7 +9,8 @@ The transform pipeline (:mod:`repro.transform.pipeline`) consumes the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 from ..errors import BudgetExceededError
 from ..frontend.ast_nodes import FunctionDef, TranslationUnit
@@ -65,12 +66,12 @@ def _align(value: int, alignment: int) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopAnalysis:
     """Everything CATT derived about one loop."""
 
     record: LoopRecord
-    localities: list[AccessLocality]
+    localities: tuple[AccessLocality, ...]
     has_reuse: bool
     footprint: LoopFootprint
     decision: ThrottleDecision
@@ -80,17 +81,21 @@ class LoopAnalysis:
         return self.record.loop_id
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelAnalysis:
-    """The CATT compile-time report for one kernel launch configuration."""
+    """The CATT compile-time report for one kernel launch configuration.
+
+    Shared by every caller that analyses the same kernel object under the
+    same launch (see :func:`analyze_kernel`), so it is read-only.
+    """
 
     kernel: FunctionDef
     occupancy: OccupancyResult
-    loops: list[LoopAnalysis]
+    loops: tuple[LoopAnalysis, ...]
     kernel_loops: KernelLoops
     spec: GPUSpec
     block_dim: tuple[int, int, int]
-    budget_exhausted_loops: list[int] = field(default_factory=list)
+    budget_exhausted_loops: tuple[int, ...] = ()
 
     @property
     def budget_exhausted(self) -> bool:
@@ -121,6 +126,21 @@ class KernelAnalysis:
         return self.loop(loop_id).decision.tlp
 
 
+# Analysis memo.  The key is everything the analysis reads: the kernel
+# object's *identity* (held in the entry and checked with ``is``, like the
+# tape's lowering cache), block, grid, spec and ``irregular_req``.  Identity,
+# not structural equality: the loop statements of an analysis are the
+# caller's own AST objects, which the warp split finds by identity
+# (``replace_stmt``).
+ANALYSIS_CACHE_LIMIT = 256
+_analyses: "OrderedDict[tuple, tuple[FunctionDef, KernelAnalysis]]"
+_analyses = OrderedDict()
+
+
+def clear_analysis_cache() -> None:
+    _analyses.clear()
+
+
 def analyze_kernel(
     unit: TranslationUnit,
     kernel_name: str,
@@ -137,12 +157,41 @@ def analyze_kernel(
     ``budget`` caps the throttle search; a loop whose search runs out of
     budget degrades to "left untouched" (the paper's CORR posture) with
     ``budget_exhausted`` set on the analysis.
+
+    Memoized (a bounded LRU) on the kernel object and the launch; a call
+    with a ``budget`` always analyses afresh, since it spends the budget.
     """
-    from ..obs.trace import span
+    from ..obs.metrics_registry import registry
 
     kernel = unit.kernel(kernel_name)
     block3 = as_dim3(block)
     grid3 = as_dim3(grid) if grid is not None else None
+    if budget is not None:
+        return _analyze(kernel, block3, grid3, spec, irregular_req, budget)
+    reg = registry()
+    key = (id(kernel), block3, grid3, spec, irregular_req)
+    hit = _analyses.get(key)
+    if hit is not None and hit[0] is kernel:
+        _analyses.move_to_end(key)
+        if reg.enabled:
+            reg.counter("analysis.analyze_kernel.cache_hits").inc()
+        return hit[1]
+    if reg.enabled:
+        reg.counter("analysis.analyze_kernel.cache_misses").inc()
+    analysis = _analyze(kernel, block3, grid3, spec, irregular_req, None)
+    _analyses[key] = (kernel, analysis)
+    while len(_analyses) > ANALYSIS_CACHE_LIMIT:
+        _analyses.popitem(last=False)
+    return analysis
+
+
+def _analyze(kernel: FunctionDef, block3: tuple[int, int, int],
+             grid3: tuple[int, int, int] | None, spec: GPUSpec,
+             irregular_req: int,
+             budget: SearchBudget | None) -> KernelAnalysis:
+    from ..obs.trace import span
+
+    kernel_name = kernel.name
     threads = block3[0] * block3[1] * block3[2]
 
     shared0 = shared_usage_bytes(kernel)
@@ -218,14 +267,15 @@ def analyze_kernel(
                 )
             sp.set(needed=decision.needed, fits=decision.fits,
                    n=decision.n, m=decision.m)
-        analyses.append(LoopAnalysis(rec, localities, reuse, fp, decision))
+        analyses.append(LoopAnalysis(rec, tuple(localities), reuse, fp,
+                                     decision))
 
     return KernelAnalysis(
         kernel=kernel,
         occupancy=occ,
-        loops=analyses,
+        loops=tuple(analyses),
         kernel_loops=kernel_loops,
         spec=spec,
         block_dim=block3,
-        budget_exhausted_loops=budget_hit,
+        budget_exhausted_loops=tuple(budget_hit),
     )

@@ -22,6 +22,8 @@ import json
 import time
 from pathlib import Path
 
+from ..analysis.kernel_info import clear_analysis_cache
+from ..frontend.parser import clear_parse_cache
 from ..obs.trace import NULL_SPAN, Tracer, install as _install_tracer, span
 from ..options import SimOptions, use_options
 from ..sim.launch import clear_record_cache
@@ -65,6 +67,14 @@ def _with_engine(engine: str, dedup: bool, fn):
         return fn()
 
 
+def _clear_memos() -> None:
+    """Forget what an earlier probe left in the process: tape records,
+    parsed units and kernel analyses."""
+    clear_record_cache()
+    clear_parse_cache()
+    clear_analysis_cache()
+
+
 def bench_engines(scale: str = "test", apps: tuple[str, ...] = PROBE_APPS) -> dict:
     """Warp-instructions/sec per engine configuration over ``apps``.
 
@@ -78,7 +88,7 @@ def bench_engines(scale: str = "test", apps: tuple[str, ...] = PROBE_APPS) -> di
     for label, engine, dedup in ENGINE_CONFIGS:
         def probe() -> dict:
             # Time the tape's record too, not a replay of stored records.
-            clear_record_cache()
+            _clear_memos()
             instructions = 0
             per_app: dict[str, float] = {}
             t0 = time.perf_counter()
@@ -167,7 +177,7 @@ def bench_obs_overhead(scale: str = "test", app: str = "ATAX",
     def probe() -> None:
         # Every probe records its launches afresh: a run that reused the
         # previous probe's stored records would do less work per span site.
-        clear_record_cache()
+        _clear_memos()
         run_workload(get_workload(app, scale))
 
     # (1) disabled per-call cost (span() checks one flag, returns NULL_SPAN).

@@ -20,7 +20,9 @@ Top level
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Union
 
 from .errors import SourceLocation
@@ -315,7 +317,13 @@ class FunctionDef:
 @dataclass(frozen=True)
 class TranslationUnit:
     functions: tuple[FunctionDef, ...]
-    defines: dict[str, int | float] = field(default_factory=dict)
+    # Read-only: :func:`repro.frontend.parse` hands one unit to every caller
+    # that parses the same source.
+    defines: Mapping[str, int | float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "defines",
+                           MappingProxyType(dict(self.defines)))
 
     def kernels(self) -> tuple[FunctionDef, ...]:
         return tuple(f for f in self.functions if f.is_kernel)

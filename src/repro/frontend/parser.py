@@ -9,6 +9,8 @@ mis-parsing.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .ast_nodes import (
     ArrayRef,
     Assign,
@@ -150,7 +152,7 @@ class Parser:
         functions: list[FunctionDef] = []
         while self._peek().kind is not TokenKind.EOF:
             functions.append(self._parse_function())
-        return TranslationUnit(tuple(functions), dict(defines or {}))
+        return TranslationUnit(tuple(functions), defines or {})
 
     def _parse_function(self) -> FunctionDef:
         loc = self._peek().loc
@@ -515,16 +517,44 @@ def _const_int(expr: Expr) -> int | None:
     return None
 
 
+# Parse memo: equal source text yields one shared TranslationUnit.  Sound
+# because a unit is immutable (frozen AST nodes, read-only ``defines``).
+PARSE_CACHE_LIMIT = 64
+_units: "OrderedDict[str, TranslationUnit]" = OrderedDict()
+
+
+def clear_parse_cache() -> None:
+    _units.clear()
+
+
 def parse(source: str) -> TranslationUnit:
-    """Preprocess, tokenize, and parse a CUDA-subset source string."""
+    """Preprocess, tokenize, and parse a CUDA-subset source string.
+
+    Memoized on the source text (a bounded LRU): parsing equal sources
+    returns the same unit.
+    """
+    from ..obs.metrics_registry import registry
     from ..obs.trace import span
 
+    reg = registry()
     with span("frontend.parse", source_bytes=len(source)) as sp:
+        unit = _units.get(source)
+        if unit is not None:
+            _units.move_to_end(source)
+            if reg.enabled:
+                reg.counter("frontend.parse.cache_hits").inc()
+            sp.set(cached=True, kernels=len(unit.kernels()))
+            return unit
+        if reg.enabled:
+            reg.counter("frontend.parse.cache_misses").inc()
         expanded, defines = preprocess(source)
         tokens = tokenize(expanded)
         unit = Parser(tokens).parse_translation_unit(defines)
-        sp.set(tokens=len(tokens), kernels=len(unit.kernels()))
-        return unit
+        sp.set(cached=False, tokens=len(tokens), kernels=len(unit.kernels()))
+    _units[source] = unit
+    while len(_units) > PARSE_CACHE_LIMIT:
+        _units.popitem(last=False)
+    return unit
 
 
 def parse_kernel(source: str, name: str | None = None) -> FunctionDef:

@@ -55,6 +55,11 @@ class SyncEvent:
 
 Event = ComputeEvent | MemEvent | SyncEvent
 
+
+class EventBudgetExceeded(Exception):
+    """A functional run used up its event budget."""
+
+
 # Events are immutable, and the same small (ops, sfu_ops) combinations recur
 # millions of times per launch, so producers intern them instead of paying a
 # frozen-dataclass construction per statement flush.

@@ -27,7 +27,7 @@ from ..options import current_options
 from .arch import GPUSpec, SMConfig, as_dim3
 from .cache import CacheStats
 from .compile import CompiledWarp, compile_kernel
-from .events import SyncEvent
+from .events import EventBudgetExceeded, SyncEvent
 from .interp import (
     KernelArgs,
     SharedBlock,
@@ -120,10 +120,6 @@ def shared_layout_of(kernel: FunctionDef, dynamic_bytes: int = 0
         offset = (offset + 7) & ~7
         layout[name] = (offset, ctype, (max(count, 1),))
     return layout
-
-
-class EventBudgetExceeded(Exception):
-    """A lockstep functional run used up its event budget."""
 
 
 def run_lockstep(tbs, max_events: int | None = None) -> tuple[int, bool]:

@@ -41,13 +41,17 @@ class GlobalMemory:
         self._next = _BASE_ADDRESS
 
     # -- allocation ------------------------------------------------------
-    def alloc(self, array: np.ndarray) -> int:
+    def alloc(self, array: np.ndarray, guard: int = 0) -> int:
         """Register ``array`` (any shape; stored as a flat typed view) and
-        return its device base address."""
+        return its device base address.
+
+        ``guard`` bytes after the allocation stay unmapped, so an access
+        that overruns it by less than that raises :class:`MemoryError_`
+        instead of reaching the next allocation."""
         flat = np.ascontiguousarray(array).reshape(-1)
         size = flat.nbytes
         start = self._next
-        self._next = (start + size + _ALIGN - 1) & ~(_ALIGN - 1)
+        self._next = (start + size + guard + _ALIGN - 1) & ~(_ALIGN - 1)
         self._allocs.append(Allocation(start, size, flat))
         self._starts = np.array([a.start for a in self._allocs], dtype=np.int64)
         return start

@@ -109,7 +109,13 @@ from ..frontend.ast_nodes import (
     WhileStmt,
     statements_in,
 )
-from .events import SYNC_EVENT, Event, compute_event, mem_event
+from .events import (
+    SYNC_EVENT,
+    Event,
+    EventBudgetExceeded,
+    compute_event,
+    mem_event,
+)
 from .interp import (
     _BINARY_MATH,
     _UNARY_MATH,
@@ -906,6 +912,7 @@ class TapeExecutor:
         timed_slots: np.ndarray,  # sorted chunk-local slot ids to record
         line_size: int,           # coalescing granularity of MemEvents
         shadows: list[ShadowState] | None = None,
+        max_events: int | None = None,
     ):
         ntbs = block_idxs.shape[0]
         nslots = ntbs * warps_per_tb
@@ -938,6 +945,9 @@ class TapeExecutor:
         self.sfu_flag = False
         self.pending: list[tuple] = []
         self.tstreams: list[list[Event]] = [[] for _ in range(self.ntimed)]
+        # Recorded-event budget: every loop iteration checks it, so a loop
+        # that never exits raises instead of running forever.
+        self.max_events = max_events
         # Warp-split regions run as one masked loop / copy by copy.
         self.split_fused = 0
         self.split_unfused = 0
@@ -1196,6 +1206,12 @@ class TapeExecutor:
         self._run(0, len(self.uops), mask, frame)
         if self.ops_flag or self.sfu_flag or self.pending:
             self._do_flush()
+        if self.max_events is not None:
+            self._check_budget()
+
+    def _check_budget(self) -> None:
+        if sum(map(len, self.tstreams)) > self.max_events:
+            raise EventBudgetExceeded(f"exceeded {self.max_events} events")
 
     def _run(self, lo: int, hi: int, mask: np.ndarray,
              frame: _LoopFrame) -> None:
@@ -1524,6 +1540,8 @@ class TapeExecutor:
             if not base.any():
                 return
             while True:
+                if self.max_events is not None:
+                    self._check_budget()
                 self._run(c_lo, c_hi, base, inner)
                 cv = regs[c_reg].values.astype(bool)
                 alive = base & cv
@@ -1539,6 +1557,8 @@ class TapeExecutor:
             return
         m = cur
         while True:
+            if self.max_events is not None:
+                self._check_budget()
             alive = m & ~self.returned & ~inner.broke
             if not alive.any():
                 break
@@ -1565,6 +1585,8 @@ class TapeExecutor:
         first = True
         m = cur
         while True:
+            if self.max_events is not None:
+                self._check_budget()
             alive = m & ~self.returned & ~inner.broke
             if not alive.any():
                 break

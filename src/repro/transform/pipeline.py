@@ -256,7 +256,7 @@ def _catt_compile(
         if analysis.budget_exhausted:
             log.emit(W_BUDGET, "budget",
                      f"throttle-search budget ran out; loops "
-                     f"{analysis.budget_exhausted_loops} left untouched",
+                     f"{list(analysis.budget_exhausted_loops)} left untouched",
                      kernel=name)
 
         record = KernelTransform(name, analysis)
@@ -409,7 +409,8 @@ def _catt_compile(
                     report = ValidationReport(
                         name, INCONCLUSIVE, f"validator crashed: {exc!r}")
                 record.validation = report
-                vsp.set(status=report.status, reverted=report.must_revert)
+                vsp.set(status=report.status, reverted=report.must_revert,
+                        executor=report.executor)
                 if report.must_revert:
                     record.reverted = True
                     log.emit(W_REVERTED, "validate",
@@ -500,6 +501,6 @@ def specialize_kernel(
             new_name, variant.return_type, variant.params, variant.body,
             is_kernel=True, is_device=False, loc=variant.loc,
         )
-        out = TranslationUnit(out.functions + (renamed,), dict(out.defines))
+        out = TranslationUnit(out.functions + (renamed,), out.defines)
         names[(n, m)] = new_name
     return out, names

@@ -101,7 +101,7 @@ def with_function(unit: TranslationUnit, func: FunctionDef) -> TranslationUnit:
             out.append(f)
     if not replaced:
         raise KeyError(f"function {func.name!r} not in unit")
-    return TranslationUnit(tuple(out), dict(unit.defines))
+    return TranslationUnit(tuple(out), unit.defines)
 
 
 def linear_warp_id_expr(block_dim: tuple[int, int, int],

@@ -4,38 +4,48 @@ CATT's transformations are supposed to be *semantics-preserving* (§4.3: the
 warp-group guards operate at warp granularity; the dummy shared array is
 dead weight).  The resilient driver does not take that on faith: when
 ``catt_compile(..., validate=True)`` transforms a kernel, this gate runs the
-original and the transformed kernel on the functional interpreter with small
-deterministic inputs and compares every output buffer.  A transform whose
-outputs diverge — or that introduces a ``__syncthreads()`` barrier-divergence
-hazard the original did not have — is reverted and recorded as a
-``CATT-W-REVERTED`` diagnostic.
+original and the transformed kernel functionally with small deterministic
+inputs and compares every output buffer.  A transform whose outputs diverge
+— or that introduces a ``__syncthreads()`` barrier-divergence hazard the
+original did not have — is reverted and recorded as a ``CATT-W-REVERTED``
+diagnostic.
 
-The executor here is *functional and lockstep*, not the timing simulator
-(:func:`repro.sim.launch.run_lockstep`, which also runs a launch's untimed
-TBs): each warp of a TB advances until it parks at a barrier (yields
-:class:`~repro.sim.events.SyncEvent`) or terminates; the barrier releases
-when every non-terminated warp has arrived.  A warp terminating while
-siblings wait at a barrier is exactly the CUDA barrier-divergence hazard
-(undefined behaviour on hardware), so it is tracked and compared across the
-two versions.  Validation is deliberately bounded — a TB cap and an event
-budget — so the gate can never hang a compile.
+Each functional run (no timing) executes the first ``max_tbs`` TBs on one
+:class:`~repro.sim.tape.TapeExecutor` chunk with every (TB, warp) slot
+recorded.  The tape advances a TB's warps in lockstep, uop by uop, which
+orders shared-memory communication across every ``__syncthreads()`` as
+barrier-to-barrier execution does.  The event count is the length of the
+recorded streams, and a TB whose warps recorded different numbers of
+barrier (``SYNC``) events is the CUDA barrier-divergence hazard: a warp
+exited while its siblings waited at a barrier (undefined behaviour on
+hardware).  That is the rule of :func:`repro.sim.launch.run_lockstep`,
+which runs each warp's AST interpreter until it parks at a barrier or
+terminates and releases the barrier once every live warp has arrived; the
+gate falls back to it when :func:`~repro.sim.tape.lower_kernel` rejects a
+kernel, and the tests hold both executors to identical reports.
+Validation is bounded by a TB cap and an event budget, which the tape
+checks on every loop iteration, so a loop that never exits ends the run
+once its recorded events pass the budget.
 
 Inputs are synthesized deterministically from a seed: pointer parameters get
-small random arrays, scalar parameters get fixed small values.  Kernels that
-index past the synthesized buffers fail on the *original* already; that makes
-the run inconclusive and the transform is kept with a
+small random arrays, scalar parameters get fixed small values.  Unmapped
+guard gaps separate the arrays, so a kernel that indexes past its buffer
+faults instead of reading or writing its neighbour.  When the *original*
+faults, the buffers grow ×8 and the run retries; a kernel that still cannot
+run makes the run inconclusive, and the transform is kept with a
 ``CATT-I-VALIDATE-SKIP`` diagnostic (the gate refuses to guess).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..analysis.occupancy import shared_usage_bytes
 from ..frontend.ast_nodes import FunctionDef, TranslationUnit
 from ..sim.arch import as_dim3
+from ..sim.events import SYNC_EVENT, EventBudgetExceeded
 from ..sim.interp import (
     KernelArgs,
     SharedBlock,
@@ -43,20 +53,22 @@ from ..sim.interp import (
     WarpInterpreter,
     np_dtype_for,
 )
-from ..sim.launch import (
-    EventBudgetExceeded,
-    resolve_args,
-    run_lockstep,
-    shared_layout_of,
-)
+from ..sim.launch import resolve_args, run_lockstep, shared_layout_of
 from ..sim.memory import GlobalMemory, MemoryError_
 from ..testing.faults import check_fault
 
 WARP_SIZE = 32
+# Unmapped bytes after each synthesized buffer: as far as a 32-bit index of
+# an 8-byte element reaches, so an overrun faults instead of landing in the
+# next buffer.
+GUARD_BYTES = 1 << 34
+# Coalescing granularity of the tape's recorded memory events; only their
+# count matters here.
+_LINE_SIZE = 128
 
 # Statuses, from best to worst.  STATIC_SAFE means the static verifier
-# (:mod:`repro.analysis.dataflow.safety`) proved the transform without
-# running the lockstep interpreter at all.
+# (:mod:`repro.analysis.dataflow.safety`) proved the transform without any
+# functional run.
 STATIC_SAFE = "static-safe"
 PASS = "pass"
 INCONCLUSIVE = "inconclusive"
@@ -72,6 +84,9 @@ class ValidationReport:
     kernel: str
     status: str            # STATIC_SAFE | PASS | INCONCLUSIVE | DIVERGED | DEADLOCK
     detail: str = ""
+    # Which functional executor ran ("tape" or "interp"); "" when none did.
+    # Provenance, not verdict: reports compare equal without it.
+    executor: str = field(default="", compare=False)
 
     @property
     def ok(self) -> bool:
@@ -136,28 +151,31 @@ def run_functional(
     block,
     arrays: dict[str, np.ndarray],
     scalars: list,
+    program=None,
     max_tbs: int = 4,
     max_events: int = 2_000_000,
 ) -> _FunctionalRun:
     """Execute ``kernel_name`` functionally (no timing) in lockstep.
 
     ``arrays`` provides initial pointer-parameter contents (copied into a
-    private memory space); ``scalars`` is the full positional argument list
-    where pointer slots are ignored.  At most ``max_tbs`` TBs run, warps
-    advancing barrier-to-barrier so shared-memory communication is ordered
-    the same way on every call.
+    private memory space, a guard gap after each); ``scalars`` is the full
+    positional argument list where pointer slots are ignored.  At most
+    ``max_tbs`` TBs run: on the kernel's tape ``program``, or on the
+    interpreter when it is None.  Raises :class:`EventBudgetExceeded` once
+    more than ``max_events`` events have run.
     """
     kernel = unit.kernel(kernel_name)
     grid3, block3 = as_dim3(grid), as_dim3(block)
     threads_per_tb = block3[0] * block3[1] * block3[2]
     warps_per_tb = max(-(-threads_per_tb // WARP_SIZE), 1)
+    tbs = min(grid3[0] * grid3[1] * grid3[2], max_tbs)
 
     memory = GlobalMemory()
     addrs: dict[str, int] = {}
     values: list = []
     for param, fallback in zip(kernel.params, scalars):
         if param.type.is_pointer:
-            addr = memory.alloc(arrays[param.name].copy())
+            addr = memory.alloc(arrays[param.name].copy(), guard=GUARD_BYTES)
             addrs[param.name] = addr
             values.append(addr)
         else:
@@ -165,23 +183,65 @@ def run_functional(
     kargs = KernelArgs(tuple(resolve_args(kernel, values)))
     layout = shared_layout_of(kernel)
     shared_bytes = max(shared_usage_bytes(kernel), 1)
+    if program is not None:
+        events, hazard = _run_tape(program, memory, layout, shared_bytes,
+                                   kargs, grid3, block3, warps_per_tb, tbs,
+                                   max_events)
+    else:
+        def tb_warps(tb_id: int) -> list:
+            bx = tb_id % grid3[0]
+            by = (tb_id // grid3[0]) % grid3[1]
+            bz = tb_id // (grid3[0] * grid3[1])
+            shared = SharedBlock(shared_bytes)
+            return [WarpInterpreter(unit, kernel, memory, shared, layout,
+                                    kargs, (bx, by, bz), block3, grid3,
+                                    w).run()
+                    for w in range(warps_per_tb)]
 
-    def tb_warps(tb_id: int) -> list:
-        bx = tb_id % grid3[0]
-        by = (tb_id // grid3[0]) % grid3[1]
-        bz = tb_id // (grid3[0] * grid3[1])
-        shared = SharedBlock(shared_bytes)
-        return [WarpInterpreter(unit, kernel, memory, shared, layout, kargs,
-                                (bx, by, bz), block3, grid3, w).run()
-                for w in range(warps_per_tb)]
-
-    total_tbs = grid3[0] * grid3[1] * grid3[2]
-    events, hazard = run_lockstep(
-        (tb_warps(tb_id) for tb_id in range(min(total_tbs, max_tbs))),
-        max_events)
+        events, hazard = run_lockstep(
+            (tb_warps(tb_id) for tb_id in range(tbs)), max_events)
     final = {name: np.array(memory.find(addr).buffer)
              for name, addr in addrs.items()}
     return _FunctionalRun(buffers=final, barrier_hazard=hazard, events=events)
+
+
+def _run_tape(program, memory: GlobalMemory, layout: dict,
+              shared_bytes: int, kargs: KernelArgs, grid3, block3,
+              warps_per_tb: int, tbs: int,
+              max_events: int) -> tuple[int, bool]:
+    """TBs ``0..tbs-1`` on one tape chunk, every slot recorded.
+
+    Returns ``(events, hazard)`` as :func:`run_lockstep` does: the recorded
+    event count, and whether some TB's warps recorded different numbers of
+    ``SYNC`` events (a warp exited while its siblings waited).
+    """
+    from ..sim.replay import WideShared
+    from ..sim.tape import TapeExecutor
+
+    tb = np.arange(tbs, dtype=np.int64)
+    block_idxs = np.stack([tb % grid3[0], (tb // grid3[0]) % grid3[1],
+                           tb // (grid3[0] * grid3[1])], axis=1)
+    ex = TapeExecutor(program, memory, WideShared(tbs, shared_bytes), layout,
+                      kargs, block_idxs, block3, grid3, warps_per_tb,
+                      np.arange(tbs * warps_per_tb, dtype=np.int64),
+                      _LINE_SIZE, max_events=max_events)
+    ex.run()
+    streams = ex.tstreams
+    syncs = [sum(1 for ev in stream if ev is SYNC_EVENT)
+             for stream in streams]
+    hazard = any(len(set(syncs[t:t + warps_per_tb])) > 1
+                 for t in range(0, len(syncs), warps_per_tb))
+    return sum(map(len, streams)), hazard
+
+
+def _program(unit: TranslationUnit, kernel_name: str):
+    """The kernel's tape program, or None when the lowerer rejects it."""
+    from ..sim.tape import lower_kernel
+
+    try:
+        return lower_kernel(unit, kernel_name)
+    except (SimulationError, NotImplementedError):
+        return None
 
 
 def _compare(base: dict[str, np.ndarray], test: dict[str, np.ndarray]
@@ -220,6 +280,17 @@ def differential_validate(
     provably unsafe and must be reverted.
     """
     kernel = original.kernel(kernel_name)
+    # Both runs use one executor: the tape, unless the lowerer rejects
+    # either kernel.
+    base_prog = _program(original, kernel_name)
+    test_prog = _program(transformed, kernel_name)
+    if base_prog is None or test_prog is None:
+        base_prog = test_prog = None
+    executor = "interp" if base_prog is None else "tape"
+
+    def report(status: str, detail: str) -> ValidationReport:
+        return ValidationReport(kernel_name, status, detail, executor)
+
     # Buffer sizes are a heuristic; when the *original* kernel indexes past
     # them, grow and retry (functional cost is independent of buffer size).
     base = None
@@ -231,7 +302,7 @@ def differential_validate(
         try:
             check_fault("sim", f"validate:{kernel_name}")
             base = run_functional(original, kernel_name, grid, block, arrays,
-                                  scalars, max_tbs=max_tbs,
+                                  scalars, base_prog, max_tbs=max_tbs,
                                   max_events=max_events)
             break
         except MemoryError_ as exc:
@@ -240,28 +311,26 @@ def differential_validate(
                 break
         except (SimulationError, EventBudgetExceeded,
                 ZeroDivisionError, OverflowError) as exc:
-            return ValidationReport(kernel_name, INCONCLUSIVE,
-                                    f"original kernel not runnable: {exc}")
+            return report(INCONCLUSIVE, f"original kernel not runnable: {exc}")
     if base is None:
-        return ValidationReport(kernel_name, INCONCLUSIVE,
-                                f"original kernel not runnable: {last_exc}")
+        return report(INCONCLUSIVE,
+                      f"original kernel not runnable: {last_exc}")
     try:
         test = run_functional(transformed, kernel_name, grid, block, arrays,
-                              scalars, max_tbs=max_tbs, max_events=max_events)
+                              scalars, test_prog, max_tbs=max_tbs,
+                              max_events=max_events)
     except EventBudgetExceeded as exc:
         # The original fit the same budget; the transform runs away.
-        return ValidationReport(kernel_name, DEADLOCK, str(exc))
+        return report(DEADLOCK, str(exc))
     except (SimulationError, MemoryError_, ZeroDivisionError,
             OverflowError) as exc:
-        return ValidationReport(kernel_name, DIVERGED,
-                                f"transformed kernel failed: {exc}")
+        return report(DIVERGED, f"transformed kernel failed: {exc}")
     if test.barrier_hazard and not base.barrier_hazard:
-        return ValidationReport(
-            kernel_name, DEADLOCK,
+        return report(
+            DEADLOCK,
             "transform introduced a __syncthreads() barrier-divergence "
             "hazard (warp exits while siblings wait)")
     mismatch = _compare(base.buffers, test.buffers)
     if mismatch is not None:
-        return ValidationReport(kernel_name, DIVERGED, mismatch)
-    return ValidationReport(kernel_name, PASS,
-                            f"{test.events} events compared equal")
+        return report(DIVERGED, mismatch)
+    return report(PASS, f"{test.events} events compared equal")

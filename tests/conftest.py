@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.kernel_info import clear_analysis_cache
+from repro.frontend.parser import clear_parse_cache
 from repro.runtime import Device
 from repro.sim.arch import TITAN_V_SIM
 
@@ -20,6 +22,14 @@ __global__ void atax_kernel1(float *A, float *x, float *tmp) {
     }
 }
 """
+
+
+@pytest.fixture(autouse=True)
+def _cold_compile_memos():
+    """Every test parses and analyses afresh: a memo hit left by an earlier
+    test would skip the code a test patches (e.g. ``AffineFlow``)."""
+    clear_parse_cache()
+    clear_analysis_cache()
 
 
 @pytest.fixture

@@ -250,6 +250,7 @@ def test_differential_validate_detects_barrier_deadlock():
         "    if (i < NX) {"))
     report = differential_validate(original, dead, "atax_kernel1", 4, 256)
     assert report.status == "deadlock" and report.must_revert
+    assert report.executor == "tape"
 
 
 def test_differential_validate_pass_and_diverge():
