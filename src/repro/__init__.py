@@ -30,12 +30,6 @@ knobs; no environment variable changes them.  Enable
 ``SimOptions(trace=True, metrics=True)`` (or run ``catt profile <app>``) to
 collect a Perfetto-loadable trace and a signed run manifest — see
 docs/OBSERVABILITY.md.
-
-The same pipeline is available as a long-running service (``catt serve``):
-:class:`~repro.service.ServiceClient` speaks typed
-:mod:`repro.service.protocol` requests to a shared server that coalesces
-identical requests, batches simulation cells into supervised sweeps, and
-persists results in the crash-safe sharded cache — see docs/SERVICE.md.
 """
 
 from .analysis import KernelAnalysis, analyze_kernel, format_analysis
@@ -43,18 +37,6 @@ from .api import Session
 from .frontend import emit, parse, parse_kernel
 from .options import SimOptions, use_options
 from .runtime import Device, DeviceArray
-from .service import (
-    AnalyzeRequest,
-    AnalyzeResponse,
-    CattRequest,
-    CattResponse,
-    CompileRequest,
-    CompileResponse,
-    RunAppRequest,
-    RunAppResponse,
-    ServiceClient,
-    ServiceError,
-)
 from .sim import TITAN_V, TITAN_V_32K, TITAN_V_SIM, TITAN_V_SIM_32K, GPUSpec
 from .transform import CattCompilation, catt_compile, force_throttle
 
@@ -80,15 +62,5 @@ __all__ = [
     "CattCompilation",
     "catt_compile",
     "force_throttle",
-    "ServiceClient",
-    "ServiceError",
-    "CompileRequest",
-    "CompileResponse",
-    "AnalyzeRequest",
-    "AnalyzeResponse",
-    "CattRequest",
-    "CattResponse",
-    "RunAppRequest",
-    "RunAppResponse",
     "__version__",
 ]

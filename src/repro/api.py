@@ -20,11 +20,7 @@ Quickstart::
 
 Sessions are context managers: ``close()`` (or leaving the ``with`` block)
 flushes the result cache and releases the session; a closed session refuses
-further pipeline work.  The same operations are also available as typed
-requests (:mod:`repro.service.protocol`) via :meth:`Session.request` — the
-exact API :class:`repro.service.ServiceClient` speaks to a remote ``catt
-serve`` process, so swapping local for remote execution is a one-line
-change.
+further pipeline work.
 """
 
 from __future__ import annotations
@@ -170,36 +166,14 @@ class Session:
         return self._result_cache
 
     def run_app(self, app: str, scheme: str, scale: str = "bench",
-                verify: bool = False, on_error: str = "degrade",
-                spec: str | None = None):
-        """One (app, scheme) simulation cell via the experiment harness.
-
-        ``spec`` overrides the session's spec *name* for this cell (the
-        harness resolves it independently), which is what lets one service
-        session serve requests against any spec.
-        """
+                verify: bool = False, on_error: str = "degrade"):
+        """One (app, scheme) simulation cell via the experiment harness."""
         from .experiments.common import run_app
 
         with self._scope():
-            return run_app(app, scheme, spec or self.spec_name, scale,
+            return run_app(app, scheme, self.spec_name, scale,
                            cache=self._cache(), verify=verify,
                            on_error=on_error)
-
-    def request(self, req):
-        """Execute one typed protocol request in-process.
-
-        Accepts the :mod:`repro.service.protocol` compute requests
-        (:class:`~repro.service.protocol.CompileRequest`,
-        :class:`~repro.service.protocol.AnalyzeRequest`,
-        :class:`~repro.service.protocol.CattRequest`,
-        :class:`~repro.service.protocol.RunAppRequest`) and returns the
-        matching typed Response — the same objects a
-        :class:`~repro.service.client.ServiceClient` returns for the same
-        request, so local and remote execution swap freely.
-        """
-        from .service.handlers import execute_request
-
-        return execute_request(self, req)
 
     def sweep(self, cells=None, scale: str = "bench", policy=None):
         """Populate this session's cache with simulation cells.

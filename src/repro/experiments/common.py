@@ -121,10 +121,9 @@ class ResultCache:
         """The cache key of one cell under one configuration identity.
 
         ``signature`` is :meth:`SimOptions.signature` — the canonical
-        config identity shared with request coalescing and manifests (``""``
-        for the default configuration).  The suffix only appears for
-        non-default configurations, so every key (and cached record) written
-        by the pre-signature substrate stays valid.
+        config identity (``""`` for the default configuration).  The suffix
+        only appears for non-default configurations, so every key (and
+        cached record) written by the pre-signature substrate stays valid.
         """
         base = f"{app}|{scheme}|{spec}|{scale}"
         return base if not signature else f"{base}|{signature}"

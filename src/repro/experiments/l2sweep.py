@@ -114,8 +114,7 @@ def build_l2sweep(
             for scheme in schemes:
                 opts = base.replace(sms=sms)
                 # Spans carry the canonical config identity, so a trace row
-                # is attributable to the same signature the cache/service
-                # use.
+                # is attributable to the same signature the cache keys use.
                 with use_options(opts), \
                         _span("experiment.l2cell", app=app, scale=scale,
                               scheme=scheme, signature=opts.signature()):

@@ -214,9 +214,7 @@ def _resolve_options(args) -> SimOptions:
     if args.trace or args.experiment == "profile":
         overrides["trace"] = True
         overrides["metrics"] = True
-    if args.metrics or args.experiment == "serve":
-        # The service always keeps metrics on: its coalescing/cache-hit
-        # counters are the observable contract clients assert against.
+    if args.metrics:
         overrides["metrics"] = True
     if getattr(args, "cache", None) is not None:
         overrides["cache_dir"] = args.cache
@@ -233,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=["table2", "table3", "fig2", "fig3", "fig6", "fig7", "fig8",
                  "fig9", "fig10", "overhead", "analyze", "compile", "lint",
                  "race", "bench", "all", "profile", "trace", "l2sweep",
-                 "compare", "serve"],
+                 "compare"],
     )
     parser.add_argument("app", nargs="?",
                         help="workload for 'analyze'/'lint'/'race'/'profile' "
@@ -295,26 +293,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="race: also execute under the shadow-memory "
                              "sanitizer and fail on any dynamic report that "
                              "contradicts a static PROVED-SAFE verdict")
-    parser.add_argument("--socket", metavar="PATH", default=None,
-                        help="serve: unix socket to listen on")
-    parser.add_argument("--host", default=None,
-                        help="serve: TCP bind address (default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=None, metavar="N",
-                        help="serve: TCP port to listen on (0 = ephemeral)")
-    parser.add_argument("--batch-window", type=float, default=0.02,
-                        metavar="SEC",
-                        help="serve: run_app cells arriving within this "
-                             "window execute as one batched sweep "
-                             "(default 0.02)")
-    parser.add_argument("--max-pending", type=int, default=128, metavar="N",
-                        help="serve: backpressure limit on in-flight compute "
-                             "requests (default 128)")
     parser.add_argument("--cache", metavar="PATH", default=None,
                         help="result-cache directory ('' = memory-only; "
                              "default .bench_cache)")
-    parser.add_argument("--spec", choices=["max", "32k"], default="max",
-                        help="serve: default GPU spec for the service "
-                             "session")
     args = parser.parse_args(argv)
 
     opts = _resolve_options(args)
@@ -334,15 +315,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args, parser, opts: SimOptions) -> int:
     data = None
-    if args.experiment == "serve":
-        from ..service.server import serve
-
-        if args.socket is None and args.port is None:
-            parser.error("serve requires --socket PATH and/or --port N")
-        return serve(opts, spec=args.spec, socket_path=args.socket,
-                     host=args.host, port=args.port,
-                     batch_window=args.batch_window,
-                     max_pending=args.max_pending)
     if args.experiment == "compile":
         if not args.app:
             parser.error("compile requires a source file")

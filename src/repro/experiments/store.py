@@ -141,7 +141,7 @@ class ShardStore:
         Shards serialize canonically, so the digest is a pure function of
         the record set: two stores holding the same records — written by
         different processes, engines, or job counts — digest identically.
-        This is the byte-identity receipt the service acceptance checks use.
+        This is the byte-identity receipt CI and the chaos sweep compare.
         """
         h = hashlib.sha256()
         for path in self.shard_paths():

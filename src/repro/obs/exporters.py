@@ -79,13 +79,6 @@ _HEALTH_COUNTERS = (
     ("cache.integrity_failures", "cache records failing sha256"),
     ("cache.shards_quarantined", "corrupt cache shards archived"),
     ("cache.write_errors", "cache writes degraded to memory"),
-    # Service-layer efficiency: work the ``catt serve`` front-end *avoided*
-    # (dedup/coalescing) or absorbed (errors, backpressure rejections).
-    ("service.requests", "service requests handled"),
-    ("service.coalesced", "requests coalesced onto in-flight work"),
-    ("service.cache_hits", "requests answered from the cache"),
-    ("service.rejected", "requests rejected by backpressure"),
-    ("service.errors", "service requests failed"),
 )
 
 

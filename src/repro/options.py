@@ -64,14 +64,14 @@ class SimOptions:
     IDENTITY_FIELDS = ("sms", "l1_ata")
 
     def signature(self) -> str:
-        """Canonical configuration identity for cache keys and coalescing.
+        """Canonical configuration identity for result-cache keys.
 
         The empty string for the default configuration (so every key the
         pre-signature substrate wrote stays valid), and a stable
         ``field{value}`` suffix otherwise — e.g. ``SimOptions(sms=4)`` →
         ``"sms4"``.  Two options with equal signatures are interchangeable
         for result-identity purposes: same signature ⇒ same simulation
-        outcome for any request.
+        outcome for any cell.
         """
         default = type(self)()
         parts = [f"{f}{getattr(self, f)}" for f in self.IDENTITY_FIELDS

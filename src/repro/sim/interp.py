@@ -57,7 +57,13 @@ from ..frontend.ast_nodes import (
     UnaryOp,
     WhileStmt,
 )
-from .events import SYNC_EVENT, Event, compute_event, mem_event
+from .events import (
+    SYNC_EVENT,
+    Event,
+    EventBudgetExceeded,
+    compute_event,
+    mem_event,
+)
 from .memory import GlobalMemory
 
 WARP_SIZE = 32
@@ -366,6 +372,11 @@ class WarpInterpreter:
     # Coalescing granularity of the emitted MemEvents; the launcher sets the
     # launch spec's cache line.
     line_size = 128
+    # Loop-trip budget of a functional run (the validator sets it to its
+    # event budget): a trip of ``for (;;) { }`` yields no event, so the
+    # caller's event count alone would never stop it.
+    max_trips = None
+    trips = 0
 
     def __init__(
         self,
@@ -568,6 +579,8 @@ class WarpInterpreter:
         if stmt.init is not None:
             yield from self._exec_stmt(stmt.init, mask, inner)
         while True:
+            if self.max_trips is not None:
+                self._trip()
             alive = mask & ~self.returned & ~inner.broke
             if not alive.any():
                 break
@@ -592,6 +605,8 @@ class WarpInterpreter:
         inner = _LoopFrame(np.zeros(WARP_SIZE, bool), np.zeros(WARP_SIZE, bool))
         first = True
         while True:
+            if self.max_trips is not None:
+                self._trip()
             alive = mask & ~self.returned & ~inner.broke
             if not alive.any():
                 break
@@ -616,6 +631,11 @@ class WarpInterpreter:
                     break
                 mask = post & cond
             first = False
+
+    def _trip(self) -> None:
+        self.trips += 1
+        if self.trips > self.max_trips:
+            raise EventBudgetExceeded(f"exceeded {self.max_trips} events")
 
     # ------------------------------------------------------------------
     # Expressions

@@ -945,9 +945,12 @@ class TapeExecutor:
         self.sfu_flag = False
         self.pending: list[tuple] = []
         self.tstreams: list[list[Event]] = [[] for _ in range(self.ntimed)]
-        # Recorded-event budget: every loop iteration checks it, so a loop
-        # that never exits raises instead of running forever.
+        # Functional-run budget.  Every loop trip checks the recorded events
+        # against it and is itself charged against it, so a loop that never
+        # exits raises instead of running forever, even one whose trips
+        # record nothing (``for (;;) { }``).
         self.max_events = max_events
+        self.trips = 0
         # Warp-split regions run as one masked loop / copy by copy.
         self.split_fused = 0
         self.split_unfused = 0
@@ -1212,6 +1215,13 @@ class TapeExecutor:
     def _check_budget(self) -> None:
         if sum(map(len, self.tstreams)) > self.max_events:
             raise EventBudgetExceeded(f"exceeded {self.max_events} events")
+
+    def _trip(self) -> None:
+        """Charge one loop trip against the budget, then check the events."""
+        self.trips += 1
+        if self.trips > self.max_events:
+            raise EventBudgetExceeded(f"exceeded {self.max_events} events")
+        self._check_budget()
 
     def _run(self, lo: int, hi: int, mask: np.ndarray,
              frame: _LoopFrame) -> None:
@@ -1541,7 +1551,7 @@ class TapeExecutor:
                 return
             while True:
                 if self.max_events is not None:
-                    self._check_budget()
+                    self._trip()
                 self._run(c_lo, c_hi, base, inner)
                 cv = regs[c_reg].values.astype(bool)
                 alive = base & cv
@@ -1558,7 +1568,7 @@ class TapeExecutor:
         m = cur
         while True:
             if self.max_events is not None:
-                self._check_budget()
+                self._trip()
             alive = m & ~self.returned & ~inner.broke
             if not alive.any():
                 break
@@ -1586,7 +1596,7 @@ class TapeExecutor:
         m = cur
         while True:
             if self.max_events is not None:
-                self._check_budget()
+                self._trip()
             alive = m & ~self.returned & ~inner.broke
             if not alive.any():
                 break

@@ -23,9 +23,10 @@ which runs each warp's AST interpreter until it parks at a barrier or
 terminates and releases the barrier once every live warp has arrived; the
 gate falls back to it when :func:`~repro.sim.tape.lower_kernel` rejects a
 kernel, and the tests hold both executors to identical reports.
-Validation is bounded by a TB cap and an event budget, which the tape
-checks on every loop iteration, so a loop that never exits ends the run
-once its recorded events pass the budget.
+Validation is bounded by a TB cap and an event budget.  Both executors
+also charge every loop trip against that budget, so a loop that never exits
+ends the run once its recorded events or its trips pass the budget, even a
+loop whose trips record nothing (``for (;;) { }``).
 
 Inputs are synthesized deterministically from a seed: pointer parameters get
 small random arrays, scalar parameters get fixed small values.  Unmapped
@@ -162,7 +163,7 @@ def run_functional(
     positional argument list where pointer slots are ignored.  At most
     ``max_tbs`` TBs run: on the kernel's tape ``program``, or on the
     interpreter when it is None.  Raises :class:`EventBudgetExceeded` once
-    more than ``max_events`` events have run.
+    more than ``max_events`` events or loop trips have run.
     """
     kernel = unit.kernel(kernel_name)
     grid3, block3 = as_dim3(grid), as_dim3(block)
@@ -193,10 +194,13 @@ def run_functional(
             by = (tb_id // grid3[0]) % grid3[1]
             bz = tb_id // (grid3[0] * grid3[1])
             shared = SharedBlock(shared_bytes)
-            return [WarpInterpreter(unit, kernel, memory, shared, layout,
-                                    kargs, (bx, by, bz), block3, grid3,
-                                    w).run()
-                    for w in range(warps_per_tb)]
+            warps = []
+            for w in range(warps_per_tb):
+                warp = WarpInterpreter(unit, kernel, memory, shared, layout,
+                                       kargs, (bx, by, bz), block3, grid3, w)
+                warp.max_trips = max_events
+                warps.append(warp.run())
+            return warps
 
         events, hazard = run_lockstep(
             (tb_warps(tb_id) for tb_id in range(tbs)), max_events)

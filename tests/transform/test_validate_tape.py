@@ -1,6 +1,9 @@
 """The validation gate on the tape: parity with the interpreter reference,
-the event budget, the interpreter fallback and the synthesized buffers'
-guard gaps (docs/ROBUSTNESS.md §3)."""
+the event and loop-trip budget, the interpreter fallback and the
+synthesized buffers' guard gaps (docs/ROBUSTNESS.md §3)."""
+
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -101,6 +104,60 @@ def test_runaway_transformed_loop_is_deadlock_within_budget(atax_src,
     assert report.status == validate.DEADLOCK and report.must_revert
     assert report.detail == "exceeded 50000 events"
     assert report.executor == "tape"
+
+
+SPIN = """
+__global__ void k(float *out) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    out[i] = 1.0f;
+    %s
+}
+"""
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail, rather than hang the suite, when the body outlives ``seconds``."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("loop", [
+    "for (;;) { }",
+    "while (1) { }",
+    "do { } while (1);",
+    "for (;;) { i = i + 1; }",
+], ids=["empty-for", "while", "do-while", "for-with-op"])
+def test_endless_loop_ends_within_budget(loop, on_interp):
+    """An endless loop ends the run on both executors: ``deadlock`` in the
+    transformed kernel, ``inconclusive`` in the original.  A trip of
+    ``for (;;) { }`` records no event, so its trips are what spend the
+    budget."""
+    plain, spin = parse(SPIN % ""), parse(SPIN % loop)
+
+    def reports():
+        return (differential_validate(plain, spin, "k", 2, 64,
+                                      max_events=10_000),
+                differential_validate(spin, spin, "k", 2, 64,
+                                      max_events=10_000))
+
+    with _deadline(20):
+        tape = reports()
+        interp = on_interp(reports)
+    transformed, original = tape
+    assert transformed.status == validate.DEADLOCK
+    assert transformed.detail == "exceeded 10000 events"
+    assert original.status == validate.INCONCLUSIVE
+    for t, i in zip(tape, interp):
+        _same_report(t, i)
 
 
 RECURSIVE = """
