@@ -175,21 +175,20 @@ class Session:
                            cache=self._cache(), verify=verify,
                            on_error=on_error)
 
-    def sweep(self, cells=None, scale: str = "bench", policy=None):
+    def sweep(self, cells=None, scale: str = "bench"):
         """Populate this session's cache with simulation cells.
 
         ``cells=None`` sweeps everything ``catt all`` consumes; jobs come
-        from the session options.  ``policy`` is a
-        :class:`~repro.experiments.sweep.SweepPolicy` (deadlines/retries).
-        Each finished cell is committed to the cache at once, so rerunning
-        an interrupted sweep computes only what is missing.
+        from the session options.  Each finished cell is committed to the
+        cache at once, so rerunning an interrupted sweep computes only what
+        is missing.
         """
         from .experiments.sweep import all_cells, run_sweep
 
         with self._scope():
             return run_sweep(cells if cells is not None else all_cells(scale),
                              jobs=self.options.jobs, cache=self._cache(),
-                             options=self.options, policy=policy)
+                             options=self.options)
 
     # -- observability ------------------------------------------------------
     def spans(self):

@@ -9,8 +9,9 @@ reach — first-touch streams are serviced downstream without evicting
 anything.  Reuse survives; streams stop polluting.
 
 The mechanism lives in the simulator
-(:class:`~repro.sim.cache.AggregatedTagArray` + the ATA load path in
-:meth:`~repro.sim.sm.SMEngine._do_mem`) and is selectable either per launch
+(:class:`~repro.sim.cache.AggregatedTagArray` + the ATA load path in the
+event loop behind :meth:`~repro.sim.sm.SMEngine.step`) and is selectable
+either per launch
 (``l1_ata=True``) or process-wide via
 :class:`~repro.options.SimOptions(l1_ata=True)`; the directory reach comes
 from ``GPUSpec.ata_tag_factor`` and the remote-hit cost from

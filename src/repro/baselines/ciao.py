@@ -9,12 +9,13 @@ pays, victims keep their locality), and (3) only when bypass saturates
 falls back to throttling the most-interfering thread block.
 
 The simulator feeds the attribution from
-:meth:`~repro.sim.cache.Cache.access_owned`: every monitored load stores
-its warp-slot index as the line's allocator, so a later eviction reports
-*which* warp displaced *whose* line.  :class:`CiaoGovernor` folds those
-reports into exponentially-decayed per-warp interference scores and drives
-``engine.bypass_warps`` (the per-warp bypass predicate in
-:meth:`~repro.sim.sm.SMEngine._do_mem`) plus the standard ``paused_tbs``
+:meth:`~repro.sim.cache.Cache.access_lines` with an ``owner``: every
+monitored load stores its warp-slot index as the line's allocator, so a
+later eviction reports *which* warp displaced *whose* line.
+:class:`CiaoGovernor` folds those reports into exponentially-decayed
+per-warp interference scores and drives ``engine.bypass_warps`` (the
+per-warp bypass predicate of the event loop behind
+:meth:`~repro.sim.sm.SMEngine.step`) plus the standard ``paused_tbs``
 throttle — both through the same governor hook DynCTA uses, so the two
 dynamic schemes differ only in policy, never in mechanism.
 
@@ -36,7 +37,8 @@ class CiaoGovernor:
     """Interference monitor + selective-bypass policy for :class:`SMEngine`.
 
     Doubles as the cache's victim monitor (:meth:`on_miss` /
-    :meth:`on_evict` are the callbacks ``Cache.access_owned`` invokes);
+    :meth:`on_evict` are the callbacks a monitored ``Cache.access_lines``
+    invokes);
     :meth:`attach` wires both sides up at launch start.
     """
 

@@ -4,8 +4,11 @@ Used for both the L1D (per SM) and the simulated L2 slice.  The model tracks
 tags only — data always lives in the runtime's backing NumPy buffers — so an
 access is a dictionary probe, keeping simulation O(1) per transaction.
 
-Addresses entering :meth:`Cache.access` are **line addresses** (byte address
-right-shifted by the line-size log2); the coalescer produces them.
+Addresses entering a :class:`Cache` are **line addresses** (byte address
+right-shifted by the line-size log2); the coalescer produces them.  The
+timing loop probes a whole memory instruction with one
+:meth:`Cache.access_lines` call; the single-line methods are that call on
+one line.
 """
 
 from __future__ import annotations
@@ -76,49 +79,84 @@ class Cache:
         # collapse onto a few sets.  XOR-folding reproduces that behaviour;
         # without it, capacity-based footprint reasoning (Eq. 8) would be
         # defeated by conflict misses the real hardware does not exhibit.
+        # The set index folds the line address with this shift.  A shift
+        # past the 64-bit line range folds in nothing (x ^ (x >> 64) ^
+        # (x >> 128) == x for every int64 x), which is the unhashed index,
+        # so one expression serves both.
         self.index_hash = index_hash
-        self._shift = max(self.num_sets.bit_length() - 1, 1)
+        self._fold = (max(self.num_sets.bit_length() - 1, 1) if index_hash
+                      else 64)
         self.stats = CacheStats()        # loads
         self.write_stats = CacheStats()  # stores
         # Optional interference monitor (the CIAO feed).  When set, loads
-        # routed through :meth:`access_owned` report per-owner misses and
-        # cross-owner evictions to it; the plain :meth:`access` path never
-        # consults it, so un-monitored runs pay nothing.
+        # probed with an ``owner`` report per-owner misses and cross-owner
+        # evictions to it; unowned probes never consult it, so un-monitored
+        # runs pay nothing.
         self.monitor = None
 
     def _set_of(self, line_addr: int) -> dict:
-        if self.index_hash:
-            h = line_addr ^ (line_addr >> self._shift) ^ (line_addr >> (2 * self._shift))
-            return self._sets[h % self.num_sets]
-        return self._sets[line_addr % self.num_sets]
+        sh = self._fold
+        return self._sets[(line_addr ^ (line_addr >> sh)
+                           ^ (line_addr >> (2 * sh))) % self.num_sets]
 
     # ------------------------------------------------------------------
-    def access(self, line_addr: int, write: bool = False) -> bool:
-        """Probe (and on miss, allocate) one line. Returns True on hit."""
-        # The set-index math is inlined here (and in ``write``): these two
-        # methods run once per transaction and the extra call is measurable.
-        if self.index_hash:
-            sh = self._shift
-            h = line_addr ^ (line_addr >> sh) ^ (line_addr >> (2 * sh))
-            s = self._sets[h % self.num_sets]
-        else:
-            s = self._sets[line_addr % self.num_sets]
-        st = self.stats
-        st.accesses += 1
-        if line_addr in s:
-            st.hits += 1
-            del s[line_addr]
-            s[line_addr] = True
-            return True
-        st.misses += 1
-        if len(s) >= self.assoc:
-            del s[next(iter(s))]
-            st.evictions += 1
-        s[line_addr] = True
-        return False
+    def access_lines(self, lines, stats: CacheStats,
+                     owner: int | bool = True) -> list[int]:
+        """Probe one memory instruction's lines in order; allocate on miss.
+
+        This is the timing loop's one cache call per instruction.  Each
+        line is looked up, moved to the MRU end of its set on a hit, and
+        allocated (evicting the set's LRU line when full) on a miss.
+        ``stats`` — ``self.stats`` for loads, ``self.write_stats`` for
+        stores, or one SM's share of a shared L2 — is added to once, for
+        the whole instruction.  Returns the positions in ``lines`` that
+        missed, in ascending order.
+
+        ``owner`` (a warp-slot index) makes the probe monitored, as CIAO
+        needs: each line records its allocator, each miss is reported to
+        ``monitor`` and so is each eviction of a line another owner
+        allocated.  Lines probed without an owner hold ``True``, which is
+        not an ``int`` owner, so evicting one reports nothing.
+        """
+        sets = self._sets
+        num_sets = self.num_sets
+        assoc = self.assoc
+        sh = self._fold
+        sh2 = 2 * sh
+        monitor = None if owner is True else self.monitor
+        missed = []
+        evictions = 0
+        for i, line in enumerate(lines):
+            s = sets[(line ^ (line >> sh) ^ (line >> sh2)) % num_sets]
+            if line in s:
+                del s[line]
+                s[line] = owner
+                continue
+            missed.append(i)
+            if monitor is not None:
+                monitor.on_miss(owner)
+            if len(s) >= assoc:
+                evictions += 1
+                prev = s.pop(next(iter(s)))
+                # ``type(prev) is int`` excludes the unowned ``True``.
+                if monitor is not None and type(prev) is int \
+                        and prev != owner:
+                    monitor.on_evict(prev, owner)
+            s[line] = owner
+        n = len(lines)
+        n_missed = len(missed)
+        stats.accesses += n
+        stats.hits += n - n_missed
+        stats.misses += n_missed
+        stats.evictions += evictions
+        return missed
+
+    def access(self, line_addr: int) -> bool:
+        """Probe (and on miss, allocate) one load line. Returns True on hit."""
+        return not self.access_lines((line_addr,), self.stats)
 
     def write(self, line_addr: int) -> bool:
-        """Write-allocate store probe.
+        """Write-allocate store probe of one line.  Returns True on hit.
 
         Store hits coalesce in the cache (no downstream traffic); store
         misses allocate, so divergent store footprints occupy L1D capacity —
@@ -127,63 +165,12 @@ class Cache:
         rate (``stats``, what nvprof-style figures report) stays clean.
         Dirty-eviction write-back traffic is not modeled (DESIGN.md §6).
         """
-        if self.index_hash:
-            sh = self._shift
-            h = line_addr ^ (line_addr >> sh) ^ (line_addr >> (2 * sh))
-            s = self._sets[h % self.num_sets]
-        else:
-            s = self._sets[line_addr % self.num_sets]
-        st = self.write_stats
-        st.accesses += 1
-        if line_addr in s:
-            st.hits += 1
-            del s[line_addr]
-            s[line_addr] = True
-            return True
-        st.misses += 1
-        if len(s) >= self.assoc:
-            del s[next(iter(s))]
-            st.evictions += 1
-        s[line_addr] = True
-        return False
+        return not self.access_lines((line_addr,), self.write_stats)
 
     def access_owned(self, line_addr: int, owner: int) -> bool:
-        """Monitored load probe: :meth:`access` plus victim attribution.
-
-        ``owner`` (a warp-slot index) is stored as the line's allocator, so
-        when a later miss evicts the line the monitor learns *which warp's*
-        working set displaced *whose* — the per-warp interference signal
-        CIAO's bypass policy ranks on.  Stats accumulate into ``self.stats``
-        exactly as :meth:`access` does; lines allocated by the unmonitored
-        paths carry non-int values and simply produce no eviction report.
-        """
-        if self.index_hash:
-            sh = self._shift
-            h = line_addr ^ (line_addr >> sh) ^ (line_addr >> (2 * sh))
-            s = self._sets[h % self.num_sets]
-        else:
-            s = self._sets[line_addr % self.num_sets]
-        st = self.stats
-        st.accesses += 1
-        if line_addr in s:
-            st.hits += 1
-            del s[line_addr]
-            s[line_addr] = owner
-            return True
-        st.misses += 1
-        mon = self.monitor
-        if mon is not None:
-            mon.on_miss(owner)
-        if len(s) >= self.assoc:
-            victim = next(iter(s))
-            prev = s.pop(victim)
-            st.evictions += 1
-            # ``type(prev) is int`` deliberately excludes the plain paths'
-            # ``True`` sentinel (bool), so mixed-mode sets stay safe.
-            if mon is not None and type(prev) is int and prev != owner:
-                mon.on_evict(prev, owner)
-        s[line_addr] = owner
-        return False
+        """Monitored load probe of one line: :meth:`access` plus victim
+        attribution to ``owner`` (see :meth:`access_lines`)."""
+        return not self.access_lines((line_addr,), self.stats, owner)
 
     def touch(self, line_addr: int) -> bool:
         """Load probe with LRU/stat updates but **no allocation** on miss.

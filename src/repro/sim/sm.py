@@ -17,10 +17,13 @@ The model captures exactly the mechanisms the paper's argument rests on:
   throttling) and shared-memory occupancy limits (TB-level throttling) are
   honored structurally; there is no "throttle" flag anywhere in the engine.
 
-One event loop, :meth:`SMEngine.step`, serves every SM count: a single-SM
-launch runs it to completion (:meth:`SMEngine.run`), and the multi-SM
-:class:`~repro.sim.gpu.GPUEngine` runs each SM in turn up to the time the
-next SM would issue.
+One event loop serves every SM count.  :meth:`SMEngine.begin` starts it
+as a generator and each :meth:`SMEngine.step` resumes it for one turn: a
+single-SM launch runs one turn to completion (:meth:`SMEngine.run`), and
+the multi-SM :class:`~repro.sim.gpu.GPUEngine` runs each SM in turn up to
+the time the next SM would issue.  A memory instruction is handled inside
+the loop, with one L1D probe call for all of its lines
+(:meth:`~repro.sim.cache.Cache.access_lines`).
 """
 
 from __future__ import annotations
@@ -124,8 +127,8 @@ class SMEngine:
                               spec.l2_assoc, "L2")
         # Expose the live cache counters through the metrics object.  With a
         # shared L2 (ports supplied) each SM keeps its own attribution
-        # record instead; ``_do_mem`` installs it as ``l2.stats`` around its
-        # accesses so hits/misses land on the SM that issued them.
+        # record instead: the event loop probes the L2 into ``l2_load``, so
+        # hits/misses land on the SM that issued them.
         self.metrics.l1_load = self.l1.stats
         self.ports = ports if ports is not None else self
         if self.ports is self:
@@ -147,8 +150,9 @@ class SMEngine:
         # Per-warp selective bypass (CIAO): slot indexes whose global loads
         # skip the L1D.  Governors mutate this at run time; empty = off.
         self.bypass_warps: set[int] = set()
-        # CIAO interference monitor: when set, global loads route through
-        # Cache.access_owned so misses and evictions attribute per warp.
+        # CIAO interference monitor: when set, global loads probe the L1D
+        # with the warp's slot index as owner, so misses and evictions
+        # attribute per warp.
         self.l1_monitor = None
         self.ata = ata
         self.ata_member = ata.register(self.l1) if ata is not None else -1
@@ -187,6 +191,8 @@ class SMEngine:
         self._pending = pending
         for tb_id in tb_ids[:resident_limit]:
             self._activate(tb_id, 0.0)
+        self._loop = self._event_loop()
+        next(self._loop)  # set up the loop; the first step runs a turn
 
     def _activate(self, tb_id: int, start: float) -> None:
         tb = TBSlot(tb_id)
@@ -224,108 +230,313 @@ class SMEngine:
         bound is checked once per issued event, on the first live heap
         entry — when that warp's TB is governor-paused, the warp is deferred
         and the SM's next warp issues without a second check.
+
+        A step is one turn of the event loop :meth:`begin` started: the
+        loop resumes where the last turn stopped.
         """
-        # Hot loop: one iteration per issued event.  Dispatch is on exact
-        # event class (events are final), method lookups and timing
-        # constants are hoisted, and the GTO tie-break and ComputeEvent
-        # timing (the most frequent event) are inlined.
-        heap = self._heap
-        slots = self._slots
-        active = self._active
-        gto = self.scheduler == "gto"
-        governor = self.governor
-        do_mem = self._do_mem
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        timing = self.spec.timing
-        issue_cycles = timing.issue_cycles
-        compute_cycles = timing.compute_cycles
-        sfu_cycles = timing.sfu_cycles
-        metrics = self.metrics
-        deferred = False
-        while heap:
-            ready, tie, slot_idx = heappop(heap)
-            warp = slots[slot_idx]
-            if warp.done or warp.at_barrier or warp.ready != ready:
-                continue  # stale heap entry
-            if not deferred and (ready > until or self.now > until
-                                 or self.issue_free > until):
-                heappush(heap, (ready, tie, slot_idx))
-                return max(ready, self.now, self.issue_free)
-            if self.paused_tbs and warp.tb_index in self.paused_tbs:
-                live_tbs = {s.tb_index for s in slots if not s.done}
-                if live_tbs <= self.paused_tbs:
-                    # Pausing must never deadlock, but relief should shed as
-                    # little throttling as possible: release exactly one TB
-                    # (lowest index, deterministic) and keep the rest paused.
-                    self.paused_tbs.discard(min(live_tbs))
-                if warp.tb_index in self.paused_tbs:
-                    # Governor-paused TB: defer this warp by one quantum.
-                    warp.ready = max(self.now, ready) + self.pause_quantum
-                    heappush(heap, (warp.ready, self._tie(warp), slot_idx))
-                    deferred = True
-                    continue
-            deferred = False
-            while True:
-                if ready > self.now:
-                    self.now = ready
-                if governor is not None:
-                    self._events_since_governor += 1
-                    if self._events_since_governor >= self.governor_period:
-                        self._events_since_governor = 0
-                        governor(self)
-                try:
-                    event = next(warp.gen)
-                except StopIteration:
-                    self._retire_warp(warp)
-                    break
-                cls = event.__class__
-                if cls is ComputeEvent:
-                    start = self.issue_free
-                    now = self.now
-                    if start < now:
-                        start = now
-                    ops = event.ops
-                    sfu = event.sfu_ops
-                    self.issue_free = free = start + (ops + sfu) * issue_cycles
-                    latency = compute_cycles if ops else 0
-                    if sfu and sfu_cycles > latency:
-                        latency = sfu_cycles
-                    warp.ready = free + latency
-                    metrics.instructions += ops + sfu
-                elif cls is MemEvent:
-                    do_mem(warp, event)
-                elif cls is SyncEvent:
-                    self._do_sync(warp, active[warp.tb_index])
-                    break  # parked; re-queued at barrier release
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unknown event {event!r}")
-                ready = warp.ready
-                entry = (ready, warp.age if gto else self._tie(warp), slot_idx)
-                # GTO issues the oldest ready warp until it stalls past
-                # another warp's ready time, so this warp is usually still
-                # the heap minimum.  push-then-pop would hand it straight
-                # back; keep issuing inline and skip both heap operations.
-                # (entry <= heap[0] is exactly the heappushpop condition,
-                # so the event order is unchanged; a governor pause always
-                # re-enters the slow path for the pause bookkeeping.)
-                if self.paused_tbs or (heap and heap[0] < entry):
-                    heappush(heap, entry)
-                    break
-                # The warp issues next, at max(ready, issue_free): a compute
-                # or memory event leaves now <= issue_free.
-                issue_free = self.issue_free
-                if ready > until or issue_free > until:
-                    heappush(heap, entry)
-                    return ready if ready > issue_free else issue_free
-        return _INF
+        return self._loop.send(until)
 
     def finish(self) -> SMMetrics:
-        """Seal the launch: record the cycle count and return the metrics."""
+        """Seal the launch: end the event loop, record the cycle count and
+        return the metrics."""
+        # Closing releases the loop's frame, which refers back to this
+        # engine, so the launch's state is freed without waiting for a
+        # garbage collection.
+        self._loop.close()
         self.metrics.cycles = int(max(self.now, self.issue_free))
         return self.metrics
 
     # ------------------------------------------------------------------
+    def _event_loop(self):
+        """The event loop behind :meth:`step`, as a generator.
+
+        Each ``send(until)`` runs one turn and yields the SM's next issue
+        time.  The constants are read once per launch, before the first
+        turn.  The SM's own times (``now``, ``issue_free``, ``lsu_free``)
+        live in locals; they are written back to the engine at the end of
+        every turn and before any call out of the loop (``_retire_warp``,
+        ``_do_sync``, the governor), so code outside the loop always reads
+        current values.  The L2/DRAM port times are shared between SMs, so
+        a memory instruction reads them from ``ports`` and writes them back
+        only when it has lines to send past the L1.  State a governor may
+        change (``paused_tbs``, ``bypass_warps``, ``l1_monitor``) is re-read
+        after each governor call.
+        """
+        # Hot loop: one iteration per issued event.  Dispatch is on exact
+        # event class (events are final); the GTO tie-break and both event
+        # kinds' timing are inlined.
+        heap = self._heap
+        slots = self._slots
+        active = self._active
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        gto = self.scheduler == "gto"
+        tie = self._tie
+        governor = self.governor
+        governor_period = self.governor_period
+        pause_quantum = self.pause_quantum
+        metrics = self.metrics
+        trace = metrics.mem_trace.record
+        timing = self.spec.timing
+        issue_cycles = timing.issue_cycles
+        compute_cycles = timing.compute_cycles
+        sfu_cycles = timing.sfu_cycles
+        shared_latency = timing.shared_latency
+        depth = timing.mem_pipeline_depth
+        lsu_txn = timing.lsu_txn_cycles
+        l2_txn = timing.l2_txn_cycles
+        dram_txn = timing.dram_txn_cycles
+        l1_lat = timing.l1_latency
+        l2_lat = timing.l2_latency
+        dram_lat = timing.dram_latency
+        remote_lat = timing.l1_remote_latency
+        l1 = self.l1
+        l1_lines = l1.access_lines
+        l1_stats = l1.stats
+        l1_write_stats = l1.write_stats
+        # An engine that owns its L2 has ``l2_load is l2.stats``.
+        l2_lines = self.l2.access_lines
+        l2_stats = metrics.l2_load
+        ports = self.ports
+        l1_bypass = self.l1_bypass
+        ata = self.ata
+        if ata is not None:
+            touch = l1.touch
+            fill = l1.fill
+            lookup = ata.lookup
+            member = self.ata_member
+        ticks = self._events_since_governor
+        until = yield
+        paused = self.paused_tbs
+        bypass_warps = self.bypass_warps
+        monitor = self.l1_monitor
+        now = self.now
+        issue_free = self.issue_free
+        lsu_free = self.lsu_free
+        while True:
+            # One turn.  ``next_time`` is set when the turn's bound stops it.
+            deferred = False
+            next_time = None
+            while heap:
+                ready, entry_tie, slot_idx = heappop(heap)
+                warp = slots[slot_idx]
+                if warp.done or warp.at_barrier or warp.ready != ready:
+                    continue  # stale heap entry
+                if not deferred and (ready > until or now > until
+                                     or issue_free > until):
+                    heappush(heap, (ready, entry_tie, slot_idx))
+                    next_time = max(ready, now, issue_free)
+                    break
+                if paused and warp.tb_index in paused:
+                    live_tbs = {s.tb_index for s in slots if not s.done}
+                    if live_tbs <= paused:
+                        # Pausing must never deadlock, but relief should
+                        # shed as little throttling as possible: release
+                        # exactly one TB (lowest index, deterministic) and
+                        # keep the rest paused.
+                        paused.discard(min(live_tbs))
+                    if warp.tb_index in paused:
+                        # Governor-paused TB: defer this warp by one quantum.
+                        warp.ready = max(now, ready) + pause_quantum
+                        heappush(heap, (warp.ready, tie(warp), slot_idx))
+                        deferred = True
+                        continue
+                deferred = False
+                while True:
+                    if ready > now:
+                        now = ready
+                    if governor is not None:
+                        ticks += 1
+                        if ticks >= governor_period:
+                            ticks = 0
+                            self.now = now
+                            self.issue_free = issue_free
+                            self.lsu_free = lsu_free
+                            governor(self)
+                            paused = self.paused_tbs
+                            bypass_warps = self.bypass_warps
+                            monitor = self.l1_monitor
+                    try:
+                        event = next(warp.gen)
+                    except StopIteration:
+                        self.now = now
+                        self.issue_free = issue_free
+                        self.lsu_free = lsu_free
+                        self._retire_warp(warp)
+                        now = self.now
+                        break
+                    cls = event.__class__
+                    if cls is ComputeEvent:
+                        start = issue_free if issue_free > now else now
+                        ops = event.ops
+                        sfu = event.sfu_ops
+                        issue_free = start + (ops + sfu) * issue_cycles
+                        latency = compute_cycles if ops else 0
+                        if sfu and sfu_cycles > latency:
+                            latency = sfu_cycles
+                        warp.ready = issue_free + latency
+                        metrics.instructions += ops + sfu
+                    elif cls is MemEvent:
+                        metrics.instructions += 1
+                        metrics.warp_mem_insts += 1
+                        write = event.write
+                        start = issue_free if issue_free > now else now
+                        outstanding = warp.outstanding
+                        if not write and len(outstanding) >= depth:
+                            # MLP window full: the warp stalls on its oldest
+                            # in-flight load.
+                            outstanding.sort()
+                            oldest = outstanding.pop(0)
+                            if oldest > start:
+                                start = oldest
+                        issue_free = start + issue_cycles
+                        if event.space == "shared":
+                            metrics.shared_transactions += 1
+                            warp.ready = start + (issue_cycles if write
+                                                  else shared_latency)
+                        else:
+                            lines = event.lines
+                            n = len(lines)
+                            metrics.coalescer_requests += 1
+                            trace(n)
+                            # Line i enters the LSU at lsu + i * lsu_txn.
+                            lsu = lsu_free if lsu_free > start else start
+                            lsu_free = lsu + n * lsu_txn
+                            finish = start
+                            if write:
+                                # Stores write-allocate in the L1; a store
+                                # hit has no downstream traffic.  A miss
+                                # goes past the LSU fire-and-forget but
+                                # takes L2/DRAM bandwidth.
+                                metrics.global_store_transactions += n
+                                missed = l1_lines(lines, l1_write_stats)
+                                metrics.l1_store_hits += n - len(missed)
+                                metrics.l1_store_misses += len(missed)
+                            elif l1_bypass or (bypass_warps
+                                               and slot_idx in bypass_warps):
+                                # Blanket or CIAO per-warp bypass: every
+                                # line skips the L1D.
+                                metrics.global_load_transactions += n
+                                missed = range(n)
+                            elif ata is None:
+                                metrics.global_load_transactions += n
+                                missed = l1_lines(
+                                    lines, l1_stats,
+                                    True if monitor is None else slot_idx)
+                                hits = n - len(missed)
+                                if hits:
+                                    # Hits take no port, so the last one
+                                    # finishes last.
+                                    last = n - 1
+                                    if hits < n:
+                                        j = len(missed) - 1
+                                        while j >= 0 and missed[j] == last:
+                                            last -= 1
+                                            j -= 1
+                                    finish = lsu + last * lsu_txn + l1_lat
+                            else:
+                                # ATA-Cache miss resolution: a local tag
+                                # probe without allocation, then the
+                                # aggregated tag array decides: remote hit
+                                # (no L2/DRAM bandwidth, the data moves SM
+                                # to SM), allocate on second touch, or
+                                # bypass on first touch.
+                                metrics.global_load_transactions += n
+                                missed = []
+                                remote = seen = 0
+                                for i, line in enumerate(lines):
+                                    if touch(line):
+                                        done = lsu + i * lsu_txn + l1_lat
+                                    else:
+                                        verdict = lookup(line, member)
+                                        if verdict != ATA_REMOTE:
+                                            if verdict == ATA_SEEN:
+                                                seen += 1
+                                                fill(line)
+                                            missed.append(i)
+                                            continue
+                                        remote += 1
+                                        done = lsu + i * lsu_txn + remote_lat
+                                    if done > finish:
+                                        finish = done
+                                metrics.l1_remote_hits += remote
+                                metrics.ata_second_touches += seen
+                                metrics.ata_first_touch_bypasses += \
+                                    len(missed) - seen
+                            if missed:
+                                # The lines that left the L1 go through the
+                                # L2 port in order, and each L2 miss through
+                                # the DRAM port.
+                                sub = (lines if len(missed) == n
+                                       else [lines[i] for i in missed])
+                                l2_missed = l2_lines(sub, l2_stats)
+                                dram_txns = len(l2_missed)
+                                metrics.dram_transactions += dram_txns
+                                next_miss = l2_missed[0] if dram_txns else -1
+                                k = 0
+                                l2_free = ports.l2_free
+                                dram_free = ports.dram_free
+                                for j, i in enumerate(missed):
+                                    txn_start = lsu + i * lsu_txn
+                                    l2_start = (l2_free if l2_free > txn_start
+                                                else txn_start)
+                                    l2_free = l2_start + l2_txn
+                                    if j == next_miss:
+                                        k += 1
+                                        next_miss = (l2_missed[k]
+                                                     if k < dram_txns else -1)
+                                        dram_start = (dram_free
+                                                      if dram_free > l2_start
+                                                      else l2_start)
+                                        dram_free = dram_start + dram_txn
+                                        done = dram_start + dram_lat
+                                    else:
+                                        done = l2_start + l2_lat
+                                    if done > finish:
+                                        finish = done
+                                ports.l2_free = l2_free
+                                ports.dram_free = dram_free
+                            if not write:
+                                # The warp keeps issuing; it stalls later
+                                # when its MLP window fills (above) or at a
+                                # barrier/retire drain point.
+                                outstanding.append(finish)
+                            warp.ready = issue_free
+                    elif cls is SyncEvent:
+                        self.now = now
+                        self.issue_free = issue_free
+                        self.lsu_free = lsu_free
+                        self._do_sync(warp, active[warp.tb_index])
+                        break  # parked; re-queued at barrier release
+                    else:  # pragma: no cover - defensive
+                        raise TypeError(f"unknown event {event!r}")
+                    ready = warp.ready
+                    entry = (ready, warp.age if gto else tie(warp), slot_idx)
+                    # GTO issues the oldest ready warp until it stalls past
+                    # another warp's ready time, so this warp is usually
+                    # still the heap minimum.  push-then-pop would hand it
+                    # straight back; keep issuing inline and skip both heap
+                    # operations.  (entry <= heap[0] is exactly the
+                    # heappushpop condition, so the event order is
+                    # unchanged; a governor pause always re-enters the slow
+                    # path for the pause bookkeeping.)
+                    if paused or (heap and heap[0] < entry):
+                        heappush(heap, entry)
+                        break
+                    # The warp issues next, at max(ready, issue_free): a
+                    # compute or memory event leaves now <= issue_free.
+                    if ready > until or issue_free > until:
+                        heappush(heap, entry)
+                        next_time = ready if ready > issue_free else issue_free
+                        break
+                if next_time is not None:
+                    break
+            self.now = now
+            self.issue_free = issue_free
+            self.lsu_free = lsu_free
+            self._events_since_governor = ticks
+            until = yield _INF if next_time is None else next_time
+
     def _tie(self, warp: WarpSlot) -> int:
         if self.scheduler == "gto":
             return warp.age  # oldest-first among equally-ready warps
@@ -349,185 +560,6 @@ class SMEngine:
                 self._activate(self._pending.pop(0), self.now)
 
     # ------------------------------------------------------------------
-    def _do_mem(self, warp: WarpSlot, event: MemEvent) -> None:
-        # Hot path: one call per warp memory instruction.  Port-availability
-        # state is staged in locals (written back once) and two-way ``max``
-        # calls are spelled as comparisons; the queueing model itself is
-        # unchanged from the straightforward form.
-        t = self.spec.timing
-        m = self.metrics
-        m.instructions += 1
-        m.warp_mem_insts += 1
-        write = event.write
-        start = self.issue_free
-        if start < self.now:
-            start = self.now
-        if not write and len(warp.outstanding) >= t.mem_pipeline_depth:
-            # MLP window full: the warp stalls on its oldest in-flight load.
-            warp.outstanding.sort()
-            oldest = warp.outstanding.pop(0)
-            if oldest > start:
-                start = oldest
-        issue_cycles = t.issue_cycles
-        self.issue_free = start + issue_cycles
-        if event.space == "shared":
-            m.shared_transactions += 1
-            warp.ready = start + (issue_cycles if write else t.shared_latency)
-            return
-        lines = event.lines
-        ntxn = len(lines)
-        m.coalescer_requests += 1
-        m.mem_trace.record(ntxn)
-        lsu = self.lsu_free
-        if lsu < start:
-            lsu = start
-        lsu_txn = t.lsu_txn_cycles
-        l2_txn = t.l2_txn_cycles
-        dram_txn = t.dram_txn_cycles
-        # L2/DRAM availability lives on ``ports`` — this engine itself in the
-        # single-SM model, a shared L2Ports under the multi-SM engine (so
-        # transactions from all SMs serialize on one bandwidth budget).
-        ports = self.ports
-        l2_free = ports.l2_free
-        dram_free = ports.dram_free
-        l2 = self.l2
-        # Attribute this instruction's L2 hits/misses to this SM.  A no-op
-        # store when the engine owns its L2 (stats is already l2_load).
-        l2.stats = m.l2_load
-        l2_access = l2.access
-        dram_txns = 0
-        if write:
-            m.global_store_transactions += ntxn
-            l1_write = self.l1.write
-            hits = misses = 0
-            for line in lines:
-                txn_start = lsu
-                lsu += lsu_txn
-                if l1_write(line):
-                    # Store hit: coalesces into the resident line; no
-                    # downstream traffic (write-back behaviour).
-                    hits += 1
-                    continue
-                misses += 1
-                # Store miss: fire-and-forget past the LSU, but it consumes
-                # L2/DRAM bandwidth.
-                l2_start = l2_free if l2_free > txn_start else txn_start
-                l2_free = l2_start + l2_txn
-                if not l2_access(line, write=True):
-                    dram_start = dram_free if dram_free > l2_start else l2_start
-                    dram_free = dram_start + dram_txn
-                    dram_txns += 1
-            m.l1_store_hits += hits
-            m.l1_store_misses += misses
-            m.dram_transactions += dram_txns
-            self.lsu_free = lsu
-            ports.l2_free = l2_free
-            ports.dram_free = dram_free
-            warp.ready = self.issue_free
-            return
-        m.global_load_transactions += ntxn
-        l1_lat = t.l1_latency
-        l2_lat = t.l2_latency
-        dram_lat = t.dram_latency
-        bypass = self.l1_bypass
-        if not bypass:
-            bw = self.bypass_warps
-            if bw and warp.slot_index in bw:
-                # CIAO selective bypass: this warp's loads skip the L1D.
-                bypass = True
-        finish = start
-        ata = self.ata
-        monitor = self.l1_monitor
-        if ata is not None and not bypass:
-            # ATA-Cache miss resolution: local tag probe without allocation,
-            # then the aggregated tag array decides remote hit / allocate-on
-            # -second-touch / first-touch bypass.  Remote hits consume no
-            # L2/DRAM port bandwidth — the data moves SM-to-SM.
-            touch = self.l1.touch
-            fill = self.l1.fill
-            lookup = ata.lookup
-            member = self.ata_member
-            remote_lat = t.l1_remote_latency
-            for line in lines:
-                txn_start = lsu
-                lsu += lsu_txn
-                if touch(line):
-                    done = txn_start + l1_lat
-                else:
-                    verdict = lookup(line, member)
-                    if verdict == ATA_REMOTE:
-                        m.l1_remote_hits += 1
-                        done = txn_start + remote_lat
-                    else:
-                        if verdict == ATA_SEEN:
-                            m.ata_second_touches += 1
-                            fill(line)
-                        else:
-                            m.ata_first_touch_bypasses += 1
-                        l2_start = l2_free if l2_free > txn_start else txn_start
-                        l2_free = l2_start + l2_txn
-                        if l2_access(line):
-                            done = l2_start + l2_lat
-                        else:
-                            dram_start = (dram_free if dram_free > l2_start
-                                          else l2_start)
-                            dram_free = dram_start + dram_txn
-                            dram_txns += 1
-                            done = dram_start + dram_lat
-                if done > finish:
-                    finish = done
-        elif monitor is not None and not bypass:
-            # CIAO-monitored loads: identical timing to the plain path, plus
-            # per-warp miss/eviction attribution through access_owned.
-            acc_owned = self.l1.access_owned
-            owner = warp.slot_index
-            for line in lines:
-                txn_start = lsu
-                lsu += lsu_txn
-                if acc_owned(line, owner):
-                    done = txn_start + l1_lat
-                else:
-                    l2_start = l2_free if l2_free > txn_start else txn_start
-                    l2_free = l2_start + l2_txn
-                    if l2_access(line):
-                        done = l2_start + l2_lat
-                    else:
-                        dram_start = (dram_free if dram_free > l2_start
-                                      else l2_start)
-                        dram_free = dram_start + dram_txn
-                        dram_txns += 1
-                        done = dram_start + dram_lat
-                if done > finish:
-                    finish = done
-        else:
-            l1_access = self.l1.access
-            for line in lines:
-                txn_start = lsu
-                lsu += lsu_txn
-                if not bypass and l1_access(line):
-                    done = txn_start + l1_lat
-                else:
-                    l2_start = l2_free if l2_free > txn_start else txn_start
-                    l2_free = l2_start + l2_txn
-                    if l2_access(line):
-                        done = l2_start + l2_lat
-                    else:
-                        dram_start = (dram_free if dram_free > l2_start
-                                      else l2_start)
-                        dram_free = dram_start + dram_txn
-                        dram_txns += 1
-                        done = dram_start + dram_lat
-                if done > finish:
-                    finish = done
-        m.dram_transactions += dram_txns
-        self.lsu_free = lsu
-        ports.l2_free = l2_free
-        ports.dram_free = dram_free
-        # The warp keeps issuing; it stalls later when its MLP window
-        # fills (see above) or at a barrier/retire drain point.
-        warp.outstanding.append(finish)
-        warp.ready = self.issue_free
-
     def _do_sync(self, warp: WarpSlot, tb: TBSlot) -> None:
         warp.at_barrier = True
         warp.ready = _INF

@@ -391,3 +391,16 @@ def test_ata_tag_filter_is_bounded_lru():
     ata.lookup(256, m)                      # pushes tag 0 out (LRU bound)
     assert ata.lookup(0, m) == ATA_NEW      # forgotten: first touch again
     assert ata.lookup(256, m) == ATA_SEEN
+
+
+def test_access_lines_matches_probing_line_by_line():
+    """One call per instruction gives the hits, LRU state and stats of
+    probing its lines one at a time, and returns the missed positions."""
+    lines = [0, 2, 0, 4, 2, 1, 3, 1, 0, 5]
+    batched = Cache(512, 128, 2, index_hash=False)   # 2 sets of 2 ways
+    single = Cache(512, 128, 2, index_hash=False)
+    missed = batched.access_lines(lines, batched.stats)
+    assert missed == [i for i, a in enumerate(lines) if not single.access(a)]
+    assert 0 < len(missed) < len(lines)
+    assert _stats_tuple(batched.stats) == _stats_tuple(single.stats)
+    assert all(batched.probe(a) == single.probe(a) for a in range(12))

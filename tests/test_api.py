@@ -134,6 +134,24 @@ def test_session_run_app_uses_session_cache():
     assert r1.total_cycles == r2.total_cycles > 0
 
 
+def test_session_sweep_commits_cells_like_run_sweep(tmp_path):
+    from repro.experiments.common import ResultCache
+    from repro.experiments.sweep import run_sweep
+
+    cells = [("ATAX", "baseline", "max", "test"),
+             ("ATAX", "catt", "max", "test")]
+    options = SimOptions(cache_dir=str(tmp_path / "session"))
+    with Session("max", options) as sess:
+        first = sess.sweep(cells, scale="test")
+        again = sess.sweep(cells, scale="test")
+    assert (first.cells, first.computed, first.cached) == (2, 2, 0)
+    assert (again.cells, again.computed, again.cached) == (2, 0, 2)
+    direct = ResultCache(tmp_path / "direct")
+    run_sweep(cells, jobs=options.jobs, cache=direct, options=options)
+    direct.flush()
+    assert ResultCache(tmp_path / "session").digest() == direct.digest()
+
+
 # -- context manager / lifecycle --------------------------------------------
 
 
