@@ -6,7 +6,7 @@ shared no-op when observability is off.  See docs/OBSERVABILITY.md for the
 architecture and the manifest schema.
 
 * :mod:`repro.obs.trace` — nested spans (:func:`span`, :class:`Tracer`);
-* :mod:`repro.obs.metrics_registry` — counters/gauges/histograms;
+* :mod:`repro.obs.metrics_registry` — counters/histograms;
 * :mod:`repro.obs.exporters` — human tree, JSON Lines, Chrome trace_event;
 * :mod:`repro.obs.manifest` — signed run manifests.
 """

@@ -56,8 +56,6 @@ def render_tree(spans, metrics: dict | None = None) -> str:
         lines.append("metrics:")
         for name, value in metrics.get("counters", {}).items():
             lines.append(f"  {name:42s} {value:>14,}")
-        for name, value in metrics.get("gauges", {}).items():
-            lines.append(f"  {name:42s} {value:>14g}")
         for name, s in metrics.get("histograms", {}).items():
             lines.append(
                 f"  {name:42s} n={s['count']} mean={s['mean']:.6g} "

@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges, and histograms.
+"""Process-wide metrics: counters and histograms.
 
 The simulator already counts everything per launch (``SMMetrics``,
 ``CacheStats``) — this registry is the *cross-launch* aggregation layer the
@@ -7,8 +7,8 @@ granularity (never inside the event loop), and a disabled registry hands out
 shared null instruments whose methods are no-ops, so the disabled cost is
 one attribute check per feed site.
 
-Merging is commutative (counters sum, histograms combine, gauges last-wins),
-so worker snapshots can be merged in deterministic caller order by the sweep
+Merging is commutative (counters sum, histograms combine), so worker
+snapshots can be merged in deterministic caller order by the sweep
 executor without caring about completion order.
 """
 
@@ -24,17 +24,6 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-
-
-class Gauge:
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -73,9 +62,6 @@ class _NullInstrument:
     def inc(self, n: int = 1) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
-
     def record(self, value: float) -> None:
         pass
 
@@ -89,7 +75,6 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- instrument accessors ----------------------------------------------
@@ -100,14 +85,6 @@ class MetricsRegistry:
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
-
-    def gauge(self, name: str):
-        if not self.enabled:
-            return NULL_INSTRUMENT
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
 
     def histogram(self, name: str):
         if not self.enabled:
@@ -123,8 +100,6 @@ class MetricsRegistry:
         return {
             "counters": {k: self._counters[k].value
                          for k in sorted(self._counters)},
-            "gauges": {k: self._gauges[k].value
-                       for k in sorted(self._gauges)},
             "histograms": {k: self._histograms[k].summary()
                            for k in sorted(self._histograms)},
         }
@@ -135,8 +110,6 @@ class MetricsRegistry:
             return
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
         for name, s in snapshot.get("histograms", {}).items():
             h = self.histogram(name)
             if not s.get("count"):
@@ -148,7 +121,6 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
 

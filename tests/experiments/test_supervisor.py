@@ -243,7 +243,7 @@ def test_render_tree_surfaces_sweep_health():
     metrics = {"counters": {"sweep.crashes": 2, "sweep.retries": 3,
                             "cache.integrity_failures": 1,
                             "sim.launches": 7},
-               "gauges": {}, "histograms": {}}
+               "histograms": {}}
     text = render_tree([], metrics)
     assert "sweep health:" in text
     assert "worker crashes survived" in text
@@ -251,4 +251,4 @@ def test_render_tree_surfaces_sweep_health():
     assert "cache records failing sha256" in text
     # Untroubled runs show no health section at all.
     assert "sweep health" not in render_tree(
-        [], {"counters": {"sim.launches": 7}, "gauges": {}, "histograms": {}})
+        [], {"counters": {"sim.launches": 7}, "histograms": {}})

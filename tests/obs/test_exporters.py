@@ -33,7 +33,6 @@ def forest():
 
 def test_render_tree_shows_nesting_durations_and_metrics():
     text = render_tree(forest(), {"counters": {"sim.launches": 4},
-                                  "gauges": {},
                                   "histograms": {}})
     lines = text.splitlines()
     assert lines[0].startswith("experiment.cell")

@@ -14,24 +14,22 @@ from repro.obs.metrics_registry import (
 def test_disabled_registry_hands_out_shared_null():
     reg = MetricsRegistry(enabled=False)
     assert reg.counter("a") is NULL_INSTRUMENT
-    assert reg.gauge("b") is NULL_INSTRUMENT
     assert reg.histogram("c") is NULL_INSTRUMENT
     # No-ops do not create instruments.
     reg.counter("a").inc(5)
     reg.histogram("c").record(1.0)
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert reg.snapshot() == {"counters": {}, "histograms": {}}
 
 
-def test_counters_gauges_histograms():
+def test_counters_and_histograms():
     reg = MetricsRegistry(enabled=True)
     reg.counter("hits").inc()
     reg.counter("hits").inc(9)
-    reg.gauge("depth").set(3.5)
     for v in (1.0, 2.0, 6.0):
         reg.histogram("lat").record(v)
     snap = reg.snapshot()
+    assert list(snap) == ["counters", "histograms"]
     assert snap["counters"] == {"hits": 10}
-    assert snap["gauges"] == {"depth": 3.5}
     assert snap["histograms"]["lat"] == {
         "count": 3, "sum": 9.0, "min": 1.0, "max": 6.0, "mean": 3.0,
     }
@@ -77,7 +75,7 @@ def test_reset_clears_everything():
     reg = MetricsRegistry(enabled=True)
     reg.counter("x").inc()
     reg.reset()
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert reg.snapshot() == {"counters": {}, "histograms": {}}
 
 
 def test_install_swaps_global():

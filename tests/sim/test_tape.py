@@ -159,6 +159,40 @@ __global__ void k(int *x, int *out) {{
     _assert_tape_matches_interp(src, x)
 
 
+def test_equal_kernels_share_one_program():
+    """The lowering memo keys on content: two separately parsed units with
+    equal kernels share one program, and a changed ``__device__`` function
+    (the kernel itself unchanged) misses."""
+    from repro.frontend import parse
+    from repro.frontend.parser import clear_parse_cache
+    from repro.obs import metrics_registry
+    from repro.sim import tape
+
+    src = """
+__global__ void k(float *out) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    out[i] = half(out[i]);
+}
+__device__ float half(float v) { return v * 0.5f; }
+"""
+    first = parse(src)
+    clear_parse_cache()
+    second = parse(src)
+    third = parse(src.replace("0.5f", "0.25f"))
+    assert first is not second and first.kernel("k") == second.kernel("k")
+    assert third.kernel("k") == first.kernel("k")
+    reg = metrics_registry.MetricsRegistry(enabled=True)
+    prev = metrics_registry.install(reg)
+    try:
+        program = tape.lower_kernel(first, "k")
+        assert tape.lower_kernel(second, "k") is program
+        assert tape.lower_kernel(third, "k") is not program
+    finally:
+        metrics_registry.install(prev)
+    assert (reg.counter("sim.tape.cache_hits").value,
+            reg.counter("sim.tape.cache_misses").value) == (1, 2)
+
+
 def test_rejected_lowering_is_cached(monkeypatch):
     """A kernel the lowerer rejects is lowered once, not on every launch:
     later launches fall back to the compiled engine from the cache."""

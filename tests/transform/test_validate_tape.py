@@ -102,7 +102,9 @@ def test_runaway_transformed_loop_is_deadlock_within_budget(atax_src,
     report = differential_validate(original, runaway, "atax_kernel1", 2, 256,
                                    max_events=50_000)
     assert report.status == validate.DEADLOCK and report.must_revert
-    assert report.detail == "exceeded 50000 events"
+    # The transformed run's budget: 4 x the original's 6,208 events plus 64
+    # per warp slot (2 TBs x 8 warps), under the 50,000 cap.
+    assert report.detail == "exceeded 25856 events"
     assert report.executor == "tape"
 
 
@@ -154,10 +156,33 @@ def test_endless_loop_ends_within_budget(loop, on_interp):
         interp = on_interp(reports)
     transformed, original = tape
     assert transformed.status == validate.DEADLOCK
-    assert transformed.detail == "exceeded 10000 events"
+    # 4 x the original's 12 events plus 64 per warp slot (2 TBs x 2 warps).
+    assert transformed.detail == "exceeded 304 events"
     assert original.status == validate.INCONCLUSIVE
+    assert original.detail == \
+        "original kernel not runnable: exceeded 10000 events"
     for t, i in zip(tape, interp):
         _same_report(t, i)
+
+
+@pytest.mark.parametrize("loop", ["for (;;) { }", "while (1) { }"],
+                         ids=["empty-for", "while"])
+def test_endless_transformed_loop_ends_at_the_default_budget(loop,
+                                                             on_interp):
+    """At the default ``max_events`` the transformed run's budget still
+    follows from the original run, so a runaway transform ends at once on
+    both executors (with the full 2,000,000 it took tens of seconds)."""
+    plain, spin = parse(SPIN % ""), parse(SPIN % loop)
+
+    def report():
+        return differential_validate(plain, spin, "k", 2, 64)
+
+    with _deadline(20):
+        tape = report()
+        interp = on_interp(report)
+    assert (tape.status, tape.detail) == (validate.DEADLOCK,
+                                          "exceeded 304 events")
+    _same_report(tape, interp)
 
 
 RECURSIVE = """
