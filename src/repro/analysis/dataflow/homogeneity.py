@@ -636,19 +636,8 @@ def block_homogeneity(
     # other referenced root.
     stored_roots = {a.root for a in st.accesses if a.is_store}
     if memory is not None and ptr_addrs:
-        alloc_of: dict[str, int] = {}
-        for name, addr in ptr_addrs.items():
-            try:
-                alloc_of[name] = memory.find(addr).start
-            except Exception:
-                alloc_of[name] = addr
-        groups: dict[int, list[str]] = {}
-        for name, start in alloc_of.items():
-            groups.setdefault(start, []).append(name)
-        for members in groups.values():
-            if len(members) > 1 and any(
-                f"ptr:{m}" in stored_roots for m in members
-            ):
+        for members in memory.aliases(ptr_addrs):
+            if any(f"ptr:{m}" in stored_roots for m in members):
                 reasons.append(
                     f"pointer args {sorted(members)} alias one allocation "
                     f"with stores")

@@ -65,6 +65,18 @@ class GlobalMemory:
             raise MemoryError_(f"address {addr:#x} is unmapped")
         return alloc
 
+    def aliases(self, addrs: dict[str, int]) -> list[list[str]]:
+        """The names in ``addrs`` that share an allocation with another,
+        one list per shared allocation (an unmapped address keys its own)."""
+        groups: dict[int, list[str]] = {}
+        for name, addr in addrs.items():
+            try:
+                start = self.find(addr).start
+            except MemoryError_:
+                start = addr
+            groups.setdefault(start, []).append(name)
+        return [m for m in groups.values() if len(m) > 1]
+
     # -- content identity ---------------------------------------------------
     def digests(self) -> tuple[tuple[int, int, str, bytes], ...]:
         """One ``(start, size, dtype, content hash)`` entry per allocation,

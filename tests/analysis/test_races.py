@@ -127,6 +127,19 @@ __global__ void k(float *a, float *b) {
     assert verdict_of(report, "a", space="global") == PROVED_SAFE
 
 
+def test_increment_is_a_read_and_a_write():
+    # Each form stores a[t + 1], which thread t + 1 reads in the interval.
+    for inc in ("a[t + 1]++", "++a[t + 1]", "a[t + 1]--", "--a[t + 1]"):
+        report = report_of(f"""
+__global__ void k(float *a, float *b) {{
+    int t = threadIdx.x;
+    {inc};
+    b[t] = a[t];
+}}
+""")
+        assert verdict_of(report, "a", space="global") == PROVED_RACE, inc
+
+
 def test_stride_parity_disjoint_by_gcd():
     # Writes hit even elements, reads hit odd ones: no common element for
     # any thread pair (constant-distance / stride reasoning).
