@@ -15,11 +15,7 @@ Three clients (the tentpole of the dataflow milestone):
 
 from .affineprop import AffineFlow, FlowEnv, LoopMeta, PtrState, ptr_state_of
 from .cfg import CFG, BasicBlock, CFGLoop, build_cfg
-from .homogeneity import (
-    HomogeneityReport,
-    block_homogeneity,
-    clear_homogeneity_cache,
-)
+from .homogeneity import HomogeneityReport, block_homogeneity
 from .solver import solve_forward
 
 __all__ = [
@@ -35,5 +31,4 @@ __all__ = [
     "solve_forward",
     "HomogeneityReport",
     "block_homogeneity",
-    "clear_homogeneity_cache",
 ]

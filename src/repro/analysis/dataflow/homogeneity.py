@@ -38,7 +38,6 @@ compiled engine (``dedup=True``).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ...frontend.ast_nodes import (
@@ -69,6 +68,7 @@ from ...frontend.ast_nodes import (
     statements_in,
     walk_expr,
 )
+from ...memo import Memo
 from ..affine import (
     BIDX,
     BIDY,
@@ -115,11 +115,8 @@ class _Structure:
     ptr_params: tuple[str, ...]
 
 
-# Keyed on kernel identity (FunctionDef hashing would walk the whole tree);
-# the value keeps a strong reference so ids cannot be recycled while cached.
-_STRUCT_CACHE: "OrderedDict[tuple, tuple[FunctionDef, _Structure]]" = \
-    OrderedDict()
-_CACHE_LIMIT = 128
+# Keyed on the kernel's content and the launch shape and scalars.
+_structures = Memo("analysis.homogeneity.cache", 128)
 
 
 def _pure_call_names() -> frozenset:
@@ -396,15 +393,11 @@ def _collect(kernel: FunctionDef, block: Dim3, grid: Dim3,
 
 def _structure(kernel: FunctionDef, block: Dim3, grid: Dim3,
                scalars: tuple[tuple[str, int], ...]) -> _Structure:
-    key = (id(kernel), block, grid, scalars)
-    hit = _STRUCT_CACHE.get(key)
-    if hit is not None and hit[0] is kernel:
-        _STRUCT_CACHE.move_to_end(key)
-        return hit[1]
-    st = _collect(kernel, block, grid, scalars)
-    _STRUCT_CACHE[key] = (kernel, st)
-    while len(_STRUCT_CACHE) > _CACHE_LIMIT:
-        _STRUCT_CACHE.popitem(last=False)
+    key = (kernel, block, grid, scalars)
+    st = _structures.get(key)
+    if st is None:
+        st = _collect(kernel, block, grid, scalars)
+        _structures.put(key, st)
     return st
 
 
@@ -713,7 +706,3 @@ def block_homogeneity(
             reasons.append(f"{root}: {why}")
 
     return HomogeneityReport(not reasons, tuple(dict.fromkeys(reasons)))
-
-
-def clear_homogeneity_cache() -> None:
-    _STRUCT_CACHE.clear()

@@ -47,7 +47,7 @@ both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -407,13 +407,16 @@ def _guarded_exprs(kernel, flow, block_dim, grid_dim, trips,
 class _Collector:
     """Resolve every array reference of one expression into AccessSites."""
 
-    def __init__(self, shared_dims, env):
+    def __init__(self, shared_dims, local_arrays, env):
         self.shared_dims = shared_dims
+        self.local_arrays = local_arrays
         self.env = env
         self.out: list[tuple] = []   # (array, space, form, r, w, atomic, line)
         # A reference that names no site: a local array, a pointer the flow
         # cannot resolve, a ``*p`` dereference.
         self.unplaced = False
+        # Lines of the last two, which may touch any array.
+        self.blind: list[int | None] = []
 
     def _flatten_shared(self, name: str, indexes: list[Expr],
                         env) -> AffineForm:
@@ -429,7 +432,9 @@ class _Collector:
         return total
 
     def _resolve(self, node: ArrayRef, env):
-        """(array, space, flattened form) or None for local arrays."""
+        """(array, space, flattened form), or None when the reference names
+        no site; one that is not to a (thread-private) local array is
+        noted in ``blind``."""
         indexes: list[Expr] = []
         base: Expr = node
         while isinstance(base, ArrayRef):
@@ -443,6 +448,8 @@ class _Collector:
         if ps is not None and ps.root is not None and len(indexes) == 1:
             return (ps.root, "global",
                     ps.offset + analyze_expr(indexes[0], env))
+        if not (isinstance(base, Ident) and base.name in self.local_arrays):
+            self.blind.append(_line_of(node.loc))
         return None
 
     def visit(self, site_expr: Expr) -> None:
@@ -469,6 +476,7 @@ class _Collector:
         for node in walk_expr(site_expr):
             if isinstance(node, UnaryOp) and node.op == "*":
                 self.unplaced = True
+                self.blind.append(_line_of(node.loc))
             if not isinstance(node, ArrayRef) or id(node) in inner:
                 continue
             ref = self._resolve(node, env)
@@ -488,11 +496,12 @@ class _Collector:
 
 
 def _collect_accesses(flow, graph: _SegmentGraph, separating, guarded_ids,
-                      shared_dims) -> tuple[list[AccessSite], set[int]]:
-    """Every access site, and the CFG blocks holding a reference that names
-    no site."""
+                      shared_dims, local_arrays):
+    """Every access site, the CFG blocks holding a reference that names no
+    site, and per interval the lines of those that may touch any array."""
     out: list[AccessSite] = []
     unplaced: set[int] = set()
+    blind: dict[int, set[int | None]] = {}
     for b in graph.cfg.blocks:
         segs = graph.block_segs[b.id]
         cursor = 0
@@ -508,17 +517,21 @@ def _collect_accesses(flow, graph: _SegmentGraph, separating, guarded_ids,
                 exprs.extend(d.init for d in action.node.declarators
                              if d.init is not None)
             for e in exprs:
-                c = _Collector(shared_dims, flow.env_sites[id(e)])
+                c = _Collector(shared_dims, local_arrays,
+                               flow.env_sites[id(e)])
                 c.visit(e)
                 if c.unplaced:
                     unplaced.add(b.id)
+                for line in c.blind:
+                    blind.setdefault(graph.interval[segs[cursor]],
+                                     set()).add(line)
                 for array, space, form, r, w, atomic, line in c.out:
                     out.append(AccessSite(
                         array=array, space=space, index=form, is_read=r,
                         is_write=w, is_atomic=atomic,
                         guarded=id(e) in guarded_ids, segment=segs[cursor],
                         block=b.id, line=line))
-    return out, unplaced
+    return out, unplaced, blind
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +864,9 @@ def _race_facts(analysis) -> _RaceFacts:
     recs_by_stmt = {id(r.stmt): r for r in kl.loops}
     guarded_ids = _guarded_exprs(kernel, flow, block_dim, grid_dim, trips,
                                  recs_by_stmt)
-    accesses, unplaced = _collect_accesses(flow, graph, separating,
-                                           guarded_ids, _shared_dims(kernel))
+    accesses, unplaced, blind = _collect_accesses(
+        flow, graph, separating, guarded_ids, _shared_dims(kernel),
+        kl.local_arrays)
 
     prover = _Prover(analysis, flow, graph)
     regions: dict[tuple[str, int], list[AccessSite]] = {}
@@ -865,8 +879,15 @@ def _race_facts(analysis) -> _RaceFacts:
     verdicts: list[RegionVerdict] = []
     for (array, interval), accs in sorted(
             regions.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        verdicts.append(_region_verdict(array, spaces[array], interval,
-                                        accs, prover))
+        v = _region_verdict(array, spaces[array], interval, accs, prover)
+        if v.verdict == PROVED_SAFE and interval in blind:
+            # A reference that may touch any array proves none safe.
+            where = ",".join(str(l) for l in sorted(
+                blind[interval] - {None})) or "?"
+            v = replace(v, verdict=UNKNOWN, reason=(
+                f"memory accessed through a pointer the analysis cannot "
+                f"resolve (line {where})"))
+        verdicts.append(v)
     report = RaceReport(kernel=kernel.name,
                         intervals=len(set(graph.interval)),
                         verdicts=tuple(verdicts))

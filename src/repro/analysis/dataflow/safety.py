@@ -558,15 +558,17 @@ def verify_transform_static(analysis, record,
     construction.  Reduction tiling restructures loop bodies and carries no
     static proof — its presence defers to the dynamic gate.
     """
+    from ..loops import loop_statements
+
     if record.tiles:
         return SafetyVerdict.unsafe(
             "reduction tiling applied (no static proof)")
     reasons: list[str] = []
     splits: dict[int, int] = {}
+    loops = loop_statements(original)
     for loop_id, n in record.warp_splits:
-        la = analysis.loop(loop_id)
-        splits[id(la.record.stmt)] = n
-        verdict = verify_warp_split(analysis, la)
+        splits[id(loops[loop_id])] = n
+        verdict = verify_warp_split(analysis, analysis.loop(loop_id))
         for why in verdict.reasons:
             reasons.append(f"loop #{loop_id}: {why}")
     if not split_shape_matches(

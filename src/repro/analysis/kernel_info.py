@@ -9,11 +9,11 @@ The transform pipeline (:mod:`repro.transform.pipeline`) consumes the result.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..errors import BudgetExceededError
 from ..frontend.ast_nodes import FunctionDef, TranslationUnit
+from ..memo import Memo
 from ..sim.arch import KB, GPUSpec, as_dim3
 from .footprint import LoopFootprint, loop_footprint
 from .locality import AccessLocality, classify_loop, loop_has_reuse
@@ -85,8 +85,9 @@ class LoopAnalysis:
 class KernelAnalysis:
     """The CATT compile-time report for one kernel launch configuration.
 
-    Shared by every caller that analyses the same kernel object under the
-    same launch (see :func:`analyze_kernel`), so it is read-only.
+    Shared by every caller that analyses an equal kernel under the same
+    launch (see :func:`analyze_kernel`), so it is read-only, and its loop
+    statements belong to ``kernel``, which may be another caller's.
     """
 
     kernel: FunctionDef
@@ -113,32 +114,17 @@ class KernelAnalysis:
         return [l for l in self.loops if l.decision.throttles]
 
     def loop(self, loop_id: int) -> LoopAnalysis:
-        for l in self.loops:
-            if l.loop_id == loop_id:
-                return l
-        raise KeyError(f"no loop {loop_id}")
+        return self.loops[loop_id]   # loops are in loop_id (walk) order
 
     def baseline_tlp(self) -> tuple[int, int]:
         return (self.occupancy.warps_per_tb, self.occupancy.tb_sm)
 
-    def chosen_tlp(self, loop_id: int) -> tuple[int, int]:
-        """Table-3 style (#warps_TB, #TBs) the loop will run at."""
-        return self.loop(loop_id).decision.tlp
 
-
-# Analysis memo.  The key is everything the analysis reads: the kernel
-# object's *identity* (held in the entry and checked with ``is``, like the
-# tape's lowering cache), block, grid, spec and ``irregular_req``.  Identity,
-# not structural equality: the loop statements of an analysis are the
-# caller's own AST objects, which the warp split finds by identity
-# (``replace_stmt``).
-ANALYSIS_CACHE_LIMIT = 256
-_analyses: "OrderedDict[tuple, tuple[FunctionDef, KernelAnalysis]]"
-_analyses = OrderedDict()
-
-
-def clear_analysis_cache() -> None:
-    _analyses.clear()
+# Analysis memo, keyed on everything the analysis reads: the kernel's
+# content, block, grid, spec and ``irregular_req``.  Equal kernels share one
+# analysis, so its loop statements may be another caller's: transforms find
+# their loops by ``loop_id`` in their own kernel (``loop_statements``).
+analysis_memo = Memo("analysis.analyze_kernel.cache", 256)
 
 
 def analyze_kernel(
@@ -158,30 +144,19 @@ def analyze_kernel(
     budget degrades to "left untouched" (the paper's CORR posture) with
     ``budget_exhausted`` set on the analysis.
 
-    Memoized (a bounded LRU) on the kernel object and the launch; a call
+    Memoized (a bounded LRU) on the kernel's content and the launch; a call
     with a ``budget`` always analyses afresh, since it spends the budget.
     """
-    from ..obs.metrics_registry import registry
-
     kernel = unit.kernel(kernel_name)
     block3 = as_dim3(block)
     grid3 = as_dim3(grid) if grid is not None else None
     if budget is not None:
         return _analyze(kernel, block3, grid3, spec, irregular_req, budget)
-    reg = registry()
-    key = (id(kernel), block3, grid3, spec, irregular_req)
-    hit = _analyses.get(key)
-    if hit is not None and hit[0] is kernel:
-        _analyses.move_to_end(key)
-        if reg.enabled:
-            reg.counter("analysis.analyze_kernel.cache_hits").inc()
-        return hit[1]
-    if reg.enabled:
-        reg.counter("analysis.analyze_kernel.cache_misses").inc()
-    analysis = _analyze(kernel, block3, grid3, spec, irregular_req, None)
-    _analyses[key] = (kernel, analysis)
-    while len(_analyses) > ANALYSIS_CACHE_LIMIT:
-        _analyses.popitem(last=False)
+    key = (kernel, block3, grid3, spec, irregular_req)
+    analysis = analysis_memo.get(key)
+    if analysis is None:
+        analysis = _analyze(kernel, block3, grid3, spec, irregular_req, None)
+        analysis_memo.put(key, analysis)
     return analysis
 
 

@@ -16,7 +16,7 @@ read-modify-write of ``tmp[i]`` counted once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..frontend.ast_nodes import (
     ArrayRef,
@@ -36,6 +36,7 @@ from ..frontend.ast_nodes import (
     Stmt,
     SyncthreadsStmt,
     WhileStmt,
+    statements_in,
     walk_expr,
 )
 from .affine import AffineForm, analyze_expr
@@ -64,9 +65,14 @@ class MemAccess:
                 self.is_read, self.is_write)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopRecord:
-    """One loop of the kernel, with its iterator and enclosed accesses."""
+    """One loop of the kernel, with its iterator and enclosed accesses.
+
+    ``loop_id`` is the loop's index in walk order, so
+    ``loop_statements(k)[loop_id]`` is this loop in any kernel ``k`` equal
+    to the analysed one; ``stmt`` is the analysed kernel's own statement.
+    """
 
     loop_id: int
     depth: int                       # 0 = outermost
@@ -76,7 +82,7 @@ class LoopRecord:
     start: AffineForm | None
     bound: AffineForm | None
     stmt: Stmt = field(repr=False, default=None)
-    accesses: list[MemAccess] = field(default_factory=list)
+    accesses: tuple[MemAccess, ...] = ()
     contains_sync: bool = False
 
     def unique_accesses(self) -> list[MemAccess]:
@@ -95,25 +101,16 @@ class LoopRecord:
         return max(trips, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelLoops:
     """All loops of one kernel plus name classification."""
 
     kernel: FunctionDef
-    loops: list[LoopRecord]
+    loops: tuple[LoopRecord, ...]
     global_pointers: dict[str, int]   # name -> element size
-    shared_arrays: set[str]
-    local_arrays: set[str]
+    shared_arrays: frozenset[str]
+    local_arrays: frozenset[str]
     flow: AffineFlow                  # the fixpoint the index forms come from
-
-    def top_level(self) -> list[LoopRecord]:
-        return [l for l in self.loops if l.depth == 0]
-
-    def loop(self, loop_id: int) -> LoopRecord:
-        for l in self.loops:
-            if l.loop_id == loop_id:
-                return l
-        raise KeyError(f"no loop {loop_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +128,10 @@ class _Walker:
 
     def __init__(self, kernel: FunctionDef, flow: AffineFlow):
         self.flow = flow
-        self.loops: list[LoopRecord] = []
-        self.stack: list[LoopRecord] = []
+        self.loops: list[LoopRecord] = []   # accesses and sync filled last
+        self.stack: list[int] = []          # ids of the enclosing loops
+        self.accesses: list[list[MemAccess]] = []
+        self.syncs: set[int] = set()
         self.global_pointers: dict[str, int] = {
             p.name: p.type.element_size
             for p in kernel.params if p.type.is_pointer
@@ -157,8 +156,7 @@ class _Walker:
         elif isinstance(stmt, (ForStmt, WhileStmt, DoWhileStmt)):
             self._walk_loop(stmt)
         elif isinstance(stmt, SyncthreadsStmt):
-            for rec in self.stack:
-                rec.contains_sync = True
+            self.syncs.update(self.stack)
         elif isinstance(stmt, ReturnStmt):
             if stmt.value is not None:
                 self._collect(stmt.value)
@@ -187,19 +185,20 @@ class _Walker:
         if isinstance(stmt, ForStmt) and stmt.init is not None:
             self.walk_stmt(stmt.init)
         meta = self.flow.loop_meta[id(stmt)]
-        rec = LoopRecord(
-            loop_id=len(self.loops),
+        loop_id = len(self.loops)
+        self.loops.append(LoopRecord(
+            loop_id=loop_id,
             depth=len(self.stack),
-            parent_id=self.stack[-1].loop_id if self.stack else None,
+            parent_id=self.stack[-1] if self.stack else None,
             iterator=meta.iterator,
             step=meta.step,
             start=meta.start,
             bound=meta.bound,
             stmt=stmt,
-        )
-        self.loops.append(rec)
+        ))
+        self.accesses.append([])
 
-        self.stack.append(rec)
+        self.stack.append(loop_id)
         # Loop conditions and steps re-execute every iteration: their memory
         # accesses belong to the loop (e.g. BFS's `e < starts[tid+1]`).
         if stmt.cond is not None:
@@ -250,11 +249,16 @@ class _Walker:
             element_size=self.global_pointers[root],
             is_read=is_read,
             is_write=is_write,
-            loop_id=self.stack[-1].loop_id,
+            loop_id=self.stack[-1],
             loc=ref.loc,
         )
-        for rec in self.stack:
-            rec.accesses.append(access)
+        for loop_id in self.stack:
+            self.accesses[loop_id].append(access)
+
+    def records(self) -> tuple[LoopRecord, ...]:
+        return tuple(replace(rec, accesses=tuple(self.accesses[rec.loop_id]),
+                             contains_sync=rec.loop_id in self.syncs)
+                     for rec in self.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +304,18 @@ def find_loops(
     walker.walk_stmt(kernel.body)
     return KernelLoops(
         kernel=kernel,
-        loops=walker.loops,
+        loops=walker.records(),
         global_pointers=walker.global_pointers,
-        shared_arrays=walker.shared_arrays,
-        local_arrays=walker.local_arrays,
+        shared_arrays=frozenset(walker.shared_arrays),
+        local_arrays=frozenset(walker.local_arrays),
         flow=flow,
     )
+
+
+def loop_statements(kernel: FunctionDef) -> tuple[Stmt, ...]:
+    """``kernel``'s loop statements in :func:`find_loops`' walk order, so
+    entry ``r.loop_id`` is record ``r``'s loop in this kernel.  Transforms
+    resolve loops here, because a memoized analysis may hold the statements
+    of another, equal kernel."""
+    return tuple(s for s in statements_in(kernel.body)
+                 if isinstance(s, (ForStmt, WhileStmt, DoWhileStmt)))

@@ -22,11 +22,9 @@ import json
 import time
 from pathlib import Path
 
-from ..analysis.kernel_info import clear_analysis_cache
-from ..frontend.parser import clear_parse_cache
+from ..memo import clear_memos
 from ..obs.trace import NULL_SPAN, Tracer, install as _install_tracer, span
 from ..options import SimOptions, use_options
-from ..sim.launch import clear_record_cache
 from ..workloads import get_workload
 from ..workloads.base import run_workload
 from .common import ResultCache
@@ -67,14 +65,6 @@ def _with_engine(engine: str, dedup: bool, fn):
         return fn()
 
 
-def _clear_memos() -> None:
-    """Forget what an earlier probe left in the process: tape records,
-    parsed units and kernel analyses."""
-    clear_record_cache()
-    clear_parse_cache()
-    clear_analysis_cache()
-
-
 def bench_engines(scale: str = "test", apps: tuple[str, ...] = PROBE_APPS) -> dict:
     """Warp-instructions/sec per engine configuration over ``apps``.
 
@@ -87,8 +77,9 @@ def bench_engines(scale: str = "test", apps: tuple[str, ...] = PROBE_APPS) -> di
     out: dict[str, dict] = {}
     for label, engine, dedup in ENGINE_CONFIGS:
         def probe() -> dict:
-            # Time the tape's record too, not a replay of stored records.
-            _clear_memos()
+            # Time the lowering and the record too, not what an earlier
+            # probe left in the process's memos.
+            clear_memos()
             instructions = 0
             per_app: dict[str, float] = {}
             t0 = time.perf_counter()
@@ -177,7 +168,7 @@ def bench_obs_overhead(scale: str = "test", app: str = "ATAX",
     def probe() -> None:
         # Every probe records its launches afresh: a run that reused the
         # previous probe's stored records would do less work per span site.
-        _clear_memos()
+        clear_memos()
         run_workload(get_workload(app, scale))
 
     # (1) disabled per-call cost (span() checks one flag, returns NULL_SPAN).

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..analysis.kernel_info import clear_analysis_cache
+from ..analysis.kernel_info import analysis_memo
 from ..sim.arch import TITAN_V_SIM
 from ..transform import catt_compile
 from ..workloads import WORKLOADS, get_workload
@@ -35,7 +35,7 @@ def build_overhead(apps: list[str] | None = None,
         src = wl.source()
         unit = wl.unit()
         launches = dict(wl.launch_configs())
-        clear_analysis_cache()
+        analysis_memo.clear()
         t0 = time.perf_counter()
         catt_compile(unit, launches, TITAN_V_SIM)
         dt = time.perf_counter() - t0

@@ -313,6 +313,16 @@ class FunctionDef:
     is_device: bool = False  # __device__
     loc: SourceLocation | None = None
 
+    def __hash__(self) -> int:
+        # The generated structural hash walks the whole body; memos key on
+        # kernels (repro.memo), so it is taken once and kept.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.name, self.return_type, self.params, self.body,
+                      self.is_kernel, self.is_device, self.loc))
+            object.__setattr__(self, "_hash", h)
+        return h
+
 
 @dataclass(frozen=True)
 class TranslationUnit:
@@ -333,6 +343,13 @@ class TranslationUnit:
             if f.is_kernel and f.name == name:
                 return f
         raise KeyError(f"no kernel named {name!r}")
+
+    def kernel_key(self, name: str) -> tuple[FunctionDef, ...]:
+        """What running kernel ``name`` reads of the unit, as a content key:
+        the kernel and the ``__device__`` functions, not the other kernels
+        (which a CATT transform may rewrite)."""
+        return (self.kernel(name),) + tuple(
+            f for f in self.functions if f.is_device)
 
     def device_function(self, name: str) -> FunctionDef:
         for f in self.functions:

@@ -9,8 +9,7 @@ mis-parsing.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
+from ..memo import Memo
 from .ast_nodes import (
     ArrayRef,
     Assign,
@@ -519,12 +518,7 @@ def _const_int(expr: Expr) -> int | None:
 
 # Parse memo: equal source text yields one shared TranslationUnit.  Sound
 # because a unit is immutable (frozen AST nodes, read-only ``defines``).
-PARSE_CACHE_LIMIT = 64
-_units: "OrderedDict[str, TranslationUnit]" = OrderedDict()
-
-
-def clear_parse_cache() -> None:
-    _units.clear()
+parse_memo = Memo("frontend.parse.cache", 64)
 
 
 def parse(source: str) -> TranslationUnit:
@@ -533,27 +527,18 @@ def parse(source: str) -> TranslationUnit:
     Memoized on the source text (a bounded LRU): parsing equal sources
     returns the same unit.
     """
-    from ..obs.metrics_registry import registry
     from ..obs.trace import span
 
-    reg = registry()
     with span("frontend.parse", source_bytes=len(source)) as sp:
-        unit = _units.get(source)
+        unit = parse_memo.get(source)
         if unit is not None:
-            _units.move_to_end(source)
-            if reg.enabled:
-                reg.counter("frontend.parse.cache_hits").inc()
             sp.set(cached=True, kernels=len(unit.kernels()))
             return unit
-        if reg.enabled:
-            reg.counter("frontend.parse.cache_misses").inc()
         expanded, defines = preprocess(source)
         tokens = tokenize(expanded)
         unit = Parser(tokens).parse_translation_unit(defines)
         sp.set(cached=False, tokens=len(tokens), kernels=len(unit.kernels()))
-    _units[source] = unit
-    while len(_units) > PARSE_CACHE_LIMIT:
-        _units.popitem(last=False)
+    parse_memo.put(source, unit)
     return unit
 
 

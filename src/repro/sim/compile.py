@@ -23,7 +23,6 @@ executor in :mod:`repro.sim.replay` (homogeneous-block dedup) can run one
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -62,6 +61,7 @@ from ..frontend.ast_nodes import (
     WhileStmt,
     statements_in,
 )
+from ..memo import Memo
 from .events import SYNC_EVENT, Event, mem_event
 from .interp import (
     _BINARY_MATH,
@@ -102,45 +102,27 @@ class CompiledKernel:
 
 
 # ---------------------------------------------------------------------------
-# Compile cache
+# Compile memo: an LRU keyed on content, like the tape's lowering memo
 # ---------------------------------------------------------------------------
 
-# TranslationUnit is unhashable (dict field), so key on identity and keep a
-# strong reference in a small LRU so ids cannot be recycled while cached.
-_CACHE_LIMIT = 64
-_cache: "OrderedDict[tuple[int, str, int], tuple[TranslationUnit, CompiledKernel]]"
-_cache = OrderedDict()
+compile_memo = Memo("sim.compile.cache", 64)
 
 
 def compile_kernel(unit: TranslationUnit, kernel_name: str,
                    nlanes: int = WARP_SIZE) -> CompiledKernel:
-    """Lower ``kernel_name`` to closures (memoized per unit identity)."""
-    from ..obs.metrics_registry import registry
+    """Lower ``kernel_name`` to closures (memoized on its content)."""
     from ..obs.trace import span
 
-    reg = registry()
-    key = (id(unit), kernel_name, nlanes)
-    hit = _cache.get(key)
-    if hit is not None and hit[0] is unit:
-        _cache.move_to_end(key)
-        if reg.enabled:
-            reg.counter("sim.compile.cache_hits").inc()
-        return hit[1]
-    if reg.enabled:
-        reg.counter("sim.compile.cache_misses").inc()
-    with span("sim.compile.lower", kernel=kernel_name, nlanes=nlanes):
-        kernel = unit.kernel(kernel_name)
-        compiled = CompiledKernel(
-            kernel, nlanes, _Compiler(unit, nlanes).stmt(kernel.body)
-        )
-    _cache[key] = (unit, compiled)
-    while len(_cache) > _CACHE_LIMIT:
-        _cache.popitem(last=False)
+    key = (unit.kernel_key(kernel_name), nlanes)
+    compiled = compile_memo.get(key)
+    if compiled is None:
+        with span("sim.compile.lower", kernel=kernel_name, nlanes=nlanes):
+            kernel = unit.kernel(kernel_name)
+            compiled = CompiledKernel(
+                kernel, nlanes, _Compiler(unit, nlanes).stmt(kernel.body)
+            )
+        compile_memo.put(key, compiled)
     return compiled
-
-
-def clear_compile_cache() -> None:
-    _cache.clear()
 
 
 # ---------------------------------------------------------------------------

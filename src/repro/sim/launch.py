@@ -9,7 +9,6 @@ assignment), builds per-TB warp interpreters, and runs them on the
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from ..analysis.occupancy import (
     shared_usage_bytes,
 )
 from ..frontend.ast_nodes import CType, DeclStmt, FunctionDef, TranslationUnit, statements_in
+from ..memo import Memo
 from ..obs.metrics_registry import registry as _metrics_registry
 from ..obs.trace import span as _span
 from ..options import current_options
@@ -173,13 +173,8 @@ def run_lockstep(tbs, max_events: int | None = None) -> tuple[int, bool]:
 # Sound because recorded streams are never mutated (repro.sim.events).
 # ---------------------------------------------------------------------------
 
-RECORD_CACHE_LIMIT = 16
 # key -> (streams, snapshot of the allocations the record changed)
-_records: "OrderedDict[tuple, tuple[dict, tuple]]" = OrderedDict()
-
-
-def clear_record_cache() -> None:
-    _records.clear()
+record_memo = Memo("sim.tape.record", 16)
 
 
 def _exact(value):
@@ -189,20 +184,18 @@ def _exact(value):
     return value
 
 
-def _record_key(unit: TranslationUnit, kernel: FunctionDef, grid: Dim3,
+def _record_key(unit: TranslationUnit, kernel_name: str, grid: Dim3,
                 block: Dim3, warps_per_tb: int, layout: dict,
                 shared_capacity: int, args: KernelArgs, tb_ids: list[int],
                 line_size: int, memory: GlobalMemory) -> tuple:
     """Everything a tape record of this launch reads.
 
-    The kernel and the unit's device functions compare structurally (not
-    the whole unit, whose other kernels a CATT transform may rewrite),
-    scalar arguments bit-exactly, and device memory through one content
-    digest per allocation.
+    The kernel and the unit's device functions compare structurally
+    (``unit.kernel_key``), scalar arguments bit-exactly, and device memory
+    through one content digest per allocation.
     """
     return (
-        kernel,
-        tuple(f for f in unit.functions if f.is_device),
+        unit.kernel_key(kernel_name),
         grid, block, warps_per_tb,
         tuple(layout.items()), shared_capacity,
         tuple((name, _exact(value), ctype)
@@ -215,15 +208,9 @@ def _record_key(unit: TranslationUnit, kernel: FunctionDef, grid: Dim3,
 def _recall(key: tuple, memory: GlobalMemory) -> dict | None:
     """The stored streams for ``key`` with the record's device writes
     restored, or None."""
-    reg = _metrics_registry()
-    entry = _records.get(key)
+    entry = record_memo.get(key)
     if entry is None:
-        if reg.enabled:
-            reg.counter("sim.tape.record_misses").inc()
         return None
-    _records.move_to_end(key)
-    if reg.enabled:
-        reg.counter("sim.tape.record_hits").inc()
     streams, writes = entry
     memory.restore(writes)
     return streams
@@ -235,9 +222,7 @@ def _store(key: tuple, memory: GlobalMemory, streams: dict) -> None:
     before = key[-1]  # _record_key ends with the pre-record digests
     changed = [i for i, (old, new) in enumerate(zip(before, memory.digests()))
                if old != new]
-    _records[key] = (streams, memory.snapshot(changed))
-    while len(_records) > RECORD_CACHE_LIMIT:
-        _records.popitem(last=False)
+    record_memo.put(key, (streams, memory.snapshot(changed)))
 
 
 def launch_kernel(
@@ -421,9 +406,9 @@ def _launch_kernel(
             # stores a record.
             key = None
             if not sanitize:
-                key = _record_key(unit, kernel, grid3, block3, warps_per_tb,
-                                  layout, capacity, kargs, tb_ids,
-                                  spec.cache_line, memory)
+                key = _record_key(unit, kernel_name, grid3, block3,
+                                  warps_per_tb, layout, capacity, kargs,
+                                  tb_ids, spec.cache_line, memory)
                 tape_streams = _recall(key, memory)
             if tape_streams is not None:
                 recorded = "memo"

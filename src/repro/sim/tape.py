@@ -87,7 +87,6 @@ another, as written.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from typing import NamedTuple
 
@@ -126,6 +125,7 @@ from ..frontend.ast_nodes import (
     WhileStmt,
     statements_in,
 )
+from ..memo import Memo
 from .events import (
     SYNC_EVENT,
     Event,
@@ -392,16 +392,14 @@ def _unsplit_loop_race_free(kernel: FunctionDef, split: _StoringSplit,
 
 
 # ---------------------------------------------------------------------------
-# Lowering cache: an LRU keyed on content
+# Lowering memo: an LRU keyed on content
 # ---------------------------------------------------------------------------
 
-_CACHE_LIMIT = 64
-# Keyed on the kernel and the unit's device functions, compared structurally
-# as the record memo compares them (sim/launch.py ``_record_key``), so equal
-# kernels of separately built units share one program and its split proofs.
-# A rejected lowering is cached as its exception, so a kernel the lowerer
-# cannot express falls back at once on every later launch.
-_cache: "OrderedDict[tuple, TapeProgram | Exception]" = OrderedDict()
+# Keyed on ``unit.kernel_key``, as the record memo is (sim/launch.py), so
+# equal kernels of separately built units share one program and its split
+# proofs.  A rejected lowering is memoized as its exception, so a kernel the
+# lowerer cannot express falls back at once on every later launch.
+lowering_memo = Memo("sim.tape.cache", 64)
 
 
 def lower_kernel(unit: TranslationUnit, kernel_name: str) -> TapeProgram:
@@ -410,40 +408,22 @@ def lower_kernel(unit: TranslationUnit, kernel_name: str) -> TapeProgram:
     Raises ``SimulationError``/``NotImplementedError`` when the lowerer
     rejects the kernel; the rejection is memoized like a success.
     """
-    from ..obs.metrics_registry import registry
     from ..obs.trace import span
 
-    reg = registry()
-    kernel = unit.kernel(kernel_name)
-    key = (kernel, tuple(f for f in unit.functions if f.is_device))
-    hit = _cache.get(key)
+    key = unit.kernel_key(kernel_name)
+    hit = lowering_memo.get(key)
     if hit is not None:
-        _cache.move_to_end(key)
-        if reg.enabled:
-            reg.counter("sim.tape.cache_hits").inc()
         if isinstance(hit, Exception):
             raise hit.with_traceback(None)
         return hit
-    if reg.enabled:
-        reg.counter("sim.tape.cache_misses").inc()
     try:
         with span("sim.tape.lower", kernel=kernel_name):
-            program = _Lowerer(unit).lower(kernel)
+            program = _Lowerer(unit).lower(unit.kernel(kernel_name))
     except (SimulationError, NotImplementedError) as exc:
-        _remember(key, exc)
+        lowering_memo.put(key, exc)
         raise
-    _remember(key, program)
+    lowering_memo.put(key, program)
     return program
-
-
-def _remember(key: tuple, outcome: "TapeProgram | Exception") -> None:
-    _cache[key] = outcome
-    while len(_cache) > _CACHE_LIMIT:
-        _cache.popitem(last=False)
-
-
-def clear_tape_cache() -> None:
-    _cache.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from ..analysis.kernel_info import (
     analyze_kernel,
     tb_throttle_plan,
 )
+from ..analysis.loops import loop_statements
 from ..analysis.occupancy import shared_usage_bytes
 from ..analysis.throttle import SearchBudget, candidate_ns
 from ..errors import ThrottleSearchError, WarpSplitError
@@ -137,16 +138,11 @@ def _select_loops(analysis: KernelAnalysis) -> list[LoopAnalysis]:
         if not (la.decision.throttles and la.decision.n > 1):
             continue
         ancestor = la.record.parent_id
-        skip = False
-        while ancestor is not None:
-            if ancestor in selected_ids:
-                skip = True
-                break
-            ancestor = analysis.kernel_loops.loop(ancestor).parent_id
-        if skip:
-            continue
-        selected.append(la)
-        selected_ids.add(la.record.loop_id)
+        while ancestor is not None and ancestor not in selected_ids:
+            ancestor = analysis.kernel_loops.loops[ancestor].parent_id
+        if ancestor is None:
+            selected.append(la)
+            selected_ids.add(la.loop_id)
     return selected
 
 
@@ -290,6 +286,9 @@ def _catt_compile(
                          f"warp-split and TB-throttle blocked", kernel=name)
 
         # -- stage: transform (tiling, optional) -------------------------
+        selected = () if record.race_blocked else _select_loops(analysis)
+        # The analysis may be an equal kernel's: find loops in this one.
+        loops = loop_statements(kernel) if enable_tiling or selected else ()
         if enable_tiling:
             for la in analysis.loops:
                 if not (la.decision.needed and not la.decision.fits):
@@ -297,7 +296,8 @@ def _catt_compile(
                 try:
                     check_fault("transform", f"{name}:tiling{la.loop_id}")
                     l1d_lines = analysis.occupancy.l1d_bytes // spec.cache_line
-                    tiled = try_tile_unresolvable(kernel, la, l1d_lines)
+                    tiled = try_tile_unresolvable(
+                        kernel, loops[la.loop_id], la, l1d_lines)
                 except Exception as exc:
                     if not resilient:
                         raise
@@ -310,14 +310,14 @@ def _catt_compile(
                     record.tiles.append((la.loop_id, tile))
 
         # -- stage: transform (Fig. 4 warp splits, per loop) -------------
-        for la in (() if record.race_blocked else _select_loops(analysis)):
+        for la in selected:
             with _span("transform.warp_split", kernel=name,
                        loop=la.record.loop_id, n=la.decision.n) as wsp:
                 try:
                     check_fault("transform", f"{name}:loop{la.record.loop_id}")
                     kernel = split_loop_for_warp_groups(
                         kernel,
-                        la.record.stmt,
+                        loops[la.loop_id],
                         la.decision.n,
                         analysis.occupancy.warps_per_tb,
                         analysis.block_dim,
@@ -455,10 +455,11 @@ def force_throttle(
             kernel=kernel_name)
     kernel = unit.kernel(kernel_name)
     if n > 1:
+        loops = loop_statements(kernel)   # before each split adds loops
         for la in analysis.loops:
             if la.record.depth == 0:
                 kernel = split_loop_for_warp_groups(
-                    kernel, la.record.stmt, n, warps, analysis.block_dim,
+                    kernel, loops[la.loop_id], n, warps, analysis.block_dim,
                     spec.warp_size,
                 )
     if m > 0:

@@ -213,18 +213,19 @@ def choose_tile(
 
 def try_tile_unresolvable(
     kernel: FunctionDef,
+    loop: Stmt,
     loop_analysis,
     l1d_lines: int,
 ) -> tuple[FunctionDef, int] | None:
     """Attempt the future-work transform on one unresolvable loop.
 
-    Returns (new kernel, tile size) or None when the loop does not match the
-    reduction shape / no tile fits.
+    ``loop`` is the analysed loop's statement in ``kernel`` (identity
+    matching).  Returns (new kernel, tile size) or None when the loop does
+    not match the reduction shape / no tile fits.
     """
-    rec = loop_analysis.record
-    if not isinstance(rec.stmt, ForStmt):
+    if not isinstance(loop, ForStmt):
         return None
-    pattern = find_reduction_pattern(rec.stmt)
+    pattern = find_reduction_pattern(loop)
     if pattern is None:
         return None
     fp = loop_analysis.footprint

@@ -39,9 +39,12 @@ def split_loop_for_warp_groups(
     """Return ``kernel`` with ``loop_stmt`` split into ``n`` warp groups.
 
     ``loop_stmt`` must be a statement object from ``kernel``'s body (identity
-    matching).  ``n`` must divide ``warps_per_tb``, and the loop must hold no
-    ``__syncthreads()``: each guarded copy runs for one warp group only, so a
-    barrier inside it would sit in warp-divergent code.  Violations raise
+    matching): resolve an analysis's loop as
+    ``loop_statements(kernel)[loop_id]``, since a memoized analysis may hold
+    another, equal kernel's statements.  ``n`` must divide ``warps_per_tb``,
+    and the loop must hold no ``__syncthreads()``: each guarded copy runs
+    for one warp group only, so a barrier inside it would sit in
+    warp-divergent code.  Violations raise
     :class:`repro.errors.WarpSplitError` (a ``ValueError`` subclass).
     """
     if n <= 1:

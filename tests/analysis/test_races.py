@@ -140,6 +140,32 @@ __global__ void k(float *a, float *b) {{
         assert verdict_of(report, "a", space="global") == PROVED_RACE, inc
 
 
+def test_unplaced_reference_caps_its_interval_at_unknown():
+    """A store through a pointer the flow cannot resolve, or through a
+    ``*`` dereference, may touch any array: no verdict of its interval is
+    PROVED-SAFE.  A local array is thread-private and caps nothing."""
+    report = report_of("""
+__global__ void k(float *a, float *b, int n) {
+    __shared__ float s[64];
+    float r[2];
+    int t = threadIdx.x;
+    r[t % 2] = a[t];
+    s[t] = r[t % 2];
+    __syncthreads();
+    float *p = n > 2 ? a : b;
+    p[t + 1] = 1.0f;
+    *(a + t + 1) = s[t];
+    b[t] = a[t];
+}
+""", block=(64, 1, 1), grid=(2, 1, 1))
+    got = {(v.array, v.interval): v for v in report.verdicts}
+    assert sorted(got) == [("a", 0), ("a", 1), ("b", 1), ("s", 0), ("s", 1)]
+    assert got["a", 0].verdict == got["s", 0].verdict == PROVED_SAFE
+    for region in (("a", 1), ("b", 1), ("s", 1)):
+        assert got[region].verdict == UNKNOWN
+        assert got[region].reason.endswith("cannot resolve (line 10,11)")
+
+
 def test_stride_parity_disjoint_by_gcd():
     # Writes hit even elements, reads hit odd ones: no common element for
     # any thread pair (constant-distance / stride reasoning).

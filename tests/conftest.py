@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.kernel_info import clear_analysis_cache
-from repro.frontend.parser import clear_parse_cache
+from repro.memo import clear_memos
 from repro.runtime import Device
 from repro.sim.arch import TITAN_V_SIM
-from repro.sim.tape import clear_tape_cache
 
 ATAX_SRC = """
 #define NX 512
@@ -26,13 +24,11 @@ __global__ void atax_kernel1(float *A, float *x, float *tmp) {
 
 
 @pytest.fixture(autouse=True)
-def _cold_compile_memos():
-    """Every test parses, analyses and lowers afresh: a memo hit left by an
-    earlier test would skip the code a test patches (e.g. ``AffineFlow``,
-    the tape lowerer)."""
-    clear_parse_cache()
-    clear_analysis_cache()
-    clear_tape_cache()
+def _cold_memos():
+    """Every test parses, analyses, lowers and records afresh: a memo hit
+    left by an earlier test would skip the code a test patches (e.g.
+    ``AffineFlow``, the tape lowerer or executor)."""
+    clear_memos()
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 
 from repro import Session, SimOptions
 from repro.frontend import parse
-from repro.frontend.parser import clear_parse_cache
+from repro.frontend.parser import parse_memo
 
 SRC = """
 #define N 8
@@ -19,7 +19,7 @@ __global__ void k(float *x) {
 def test_equal_sources_share_one_unit():
     unit = parse(SRC)
     assert parse(str(SRC)) is unit
-    clear_parse_cache()
+    parse_memo.clear()
     again = parse(SRC)
     assert again is not unit and again == unit
 

@@ -35,14 +35,14 @@ SCHEMES = {
 @pytest.fixture
 def counters():
     """A fresh enabled metrics registry and an empty memo."""
-    launch.clear_record_cache()
+    launch.record_memo.clear()
     reg = metrics_registry.MetricsRegistry(enabled=True)
     prev = metrics_registry.install(reg)
     try:
         yield lambda name: reg.counter(name).value
     finally:
         metrics_registry.install(prev)
-        launch.clear_record_cache()
+        launch.record_memo.clear()
 
 
 def _observed_launches(monkeypatch, clear_each: bool) -> list:
@@ -53,7 +53,7 @@ def _observed_launches(monkeypatch, clear_each: bool) -> list:
 
     def recorder(*args, **kwargs):
         if clear_each:
-            launch.clear_record_cache()
+            launch.record_memo.clear()
         result = real(*args, **kwargs)
         memory = args[5]
         seen.append((
@@ -86,7 +86,7 @@ def _run_schemes(monkeypatch, app: str, sms: int, clear_each: bool) -> dict:
 def test_stored_record_matches_fresh_record(app, sms, monkeypatch, counters):
     fresh = _run_schemes(monkeypatch, app, sms, clear_each=True)
     assert counters("sim.tape.record_hits") == 0
-    launch.clear_record_cache()
+    launch.record_memo.clear()
     reused = _run_schemes(monkeypatch, app, sms, clear_each=False)
     assert reused == fresh
     # Every launch after the baseline's is served from the memo.
@@ -150,22 +150,22 @@ def test_changed_input_misses(change, counters):
 def test_sanitize_neither_stores_nor_reuses(counters):
     x = np.arange(N, dtype=np.float32)
     _scale(x, 2.0)
-    assert len(launch._records) == 1
+    assert len(launch.record_memo) == 1
     result, out = _scale(x, 2.0, sanitize=True)
     assert result.sanitizer is not None
     assert result.sanitizer.accesses > 0
     np.testing.assert_array_equal(out, 2.0 * x)
-    assert len(launch._records) == 1
+    assert len(launch.record_memo) == 1
     assert counters("sim.tape.record_hits") == 0
     assert counters("sim.tape.record_misses") == 1
 
 
 def test_lru_keeps_at_most_the_limit(counters):
     x = np.arange(N, dtype=np.float32)
-    limit = launch.RECORD_CACHE_LIMIT
+    limit = launch.record_memo.limit
     for a in range(limit + 4):
         _scale(x, float(a))
-    assert len(launch._records) == limit
+    assert len(launch.record_memo) == limit
     _scale(x, float(limit + 3))   # most recent: still stored
     assert counters("sim.tape.record_hits") == 1
     _scale(x, 0.0)                # oldest: evicted

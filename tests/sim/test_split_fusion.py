@@ -86,7 +86,7 @@ def _observe(monkeypatch, run, options: SimOptions, fuse: bool = True):
 
     reg = metrics_registry.MetricsRegistry(enabled=True)
     prev = metrics_registry.install(reg)
-    launch.clear_record_cache()
+    launch.record_memo.clear()
     try:
         with monkeypatch.context() as m, use_options(options):
             m.setattr(device, "launch_kernel", observe_launch)
@@ -96,7 +96,7 @@ def _observe(monkeypatch, run, options: SimOptions, fuse: bool = True):
             run()
     finally:
         metrics_registry.install(prev)
-        launch.clear_record_cache()
+        launch.record_memo.clear()
     counts = {k: reg.counter(f"sim.tape.split_{k}").value
               for k in ("fused", "unfused")}
     return launches, records, counts
@@ -416,7 +416,7 @@ def test_unknown_store_in_the_loop_keeps_the_validators_copies():
     ``bfs_kernel1`` loop, which stores ``cost`` and ``updating``: UNKNOWN,
     so the validator's tape runs the transformed kernel's copies as written.
     The proof is kept on the program that every equal kernel shares."""
-    tape.clear_tape_cache()
+    tape.lowering_memo.clear()
     spec = SPECS["32k"]
     wl = get_workload("BFS", "bench")
     grid, block = wl.launch_configs()["bfs_kernel1"]

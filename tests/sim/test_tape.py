@@ -164,7 +164,7 @@ def test_equal_kernels_share_one_program():
     equal kernels share one program, and a changed ``__device__`` function
     (the kernel itself unchanged) misses."""
     from repro.frontend import parse
-    from repro.frontend.parser import clear_parse_cache
+    from repro.frontend.parser import parse_memo
     from repro.obs import metrics_registry
     from repro.sim import tape
 
@@ -176,7 +176,7 @@ __global__ void k(float *out) {
 __device__ float half(float v) { return v * 0.5f; }
 """
     first = parse(src)
-    clear_parse_cache()
+    parse_memo.clear()
     second = parse(src)
     third = parse(src.replace("0.5f", "0.25f"))
     assert first is not second and first.kernel("k") == second.kernel("k")

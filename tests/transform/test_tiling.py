@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import analyze_kernel
+from repro.analysis.loops import loop_statements
 from repro.frontend import emit, parse
+from repro.frontend.parser import parse_memo
 from repro.frontend.ast_nodes import ForStmt, statements_in
 from repro.runtime import Device
 from repro.sim.arch import TITAN_V_SIM, TITAN_V_SIM_32K
@@ -105,8 +107,9 @@ def test_try_tile_on_unresolvable_corr_loop():
     an = analyze_kernel(unit, "pairwise", 64, TITAN_V_SIM_32K, grid=1)
     la = an.loops[0]
     assert la.decision.needed and not la.decision.fits
+    kernel = unit.kernel("pairwise")
     result = try_tile_unresolvable(
-        unit.kernel("pairwise"), la,
+        kernel, loop_statements(kernel)[la.loop_id], la,
         an.occupancy.l1d_bytes // TITAN_V_SIM_32K.cache_line,
     )
     assert result is not None
@@ -123,3 +126,23 @@ def test_pipeline_tiling_opt_in():
                          enable_tiling=True)
     assert tiled.transforms["pairwise"].tiles
     assert TILE_VAR in emit(tiled.unit.kernel("pairwise"))
+
+
+def test_equal_unit_tiles_its_own_loop():
+    """An analysis memoized from one unit drives the tiling of an equal,
+    separately parsed unit: the transform finds the loop in its own kernel
+    by ``loop_id``."""
+    src = PAIRWISE.replace("#define N 64", "#define N 512")
+    unit = parse(src)
+    direct = catt_compile(unit, {"pairwise": (1, 64)}, TITAN_V_SIM_32K,
+                          enable_tiling=True)
+    parse_memo.clear()
+    twin = parse(src)
+    assert twin is not unit
+    tiled = catt_compile(twin, {"pairwise": (1, 64)}, TITAN_V_SIM_32K,
+                         enable_tiling=True)
+    assert tiled.transforms["pairwise"].analysis is \
+        direct.transforms["pairwise"].analysis
+    assert tiled.transforms["pairwise"].tiles == \
+        direct.transforms["pairwise"].tiles != []
+    assert emit(tiled.unit) == emit(direct.unit)
