@@ -42,6 +42,15 @@ concrete thread/iteration assignment hitting the same element.  Global
 arrays are analyzed with the same intra-TB scope the dynamic sanitizer
 checks (:mod:`repro.sim.sanitize`); cross-TB conflicts are out of scope for
 both.
+
+The module also owns the two answers a Fig. 4 warp split depends on.
+:class:`Divergence` says whether all threads of a TB reach a statement
+together; it picks the separating barriers, ``catt lint``'s divergent
+barriers and the static gate's check that every warp reaches the barriers
+a split puts at a loop's position.  :func:`loop_conflicts` says why the
+warps of a TB may not run a loop in another order; the static gate
+(:func:`~repro.analysis.dataflow.safety.verify_warp_split`) and the tape's
+split fusion both ask it.
 """
 
 from __future__ import annotations
@@ -75,12 +84,7 @@ from ...sim.arch import as_dim3
 from ..affine import TIDX, TIDY, TIDZ, AffineForm, analyze_expr
 from .affineprop import ptr_state_of
 from .cfg import DECL, EVAL, SYNC, CFGLoop
-from .safety import (
-    _iterator_trips,
-    _line_of,
-    cond_always_true,
-    cond_tb_uniform,
-)
+from .safety import _line_of, cond_always_true, cond_tb_uniform
 
 PROVED_SAFE = "PROVED-SAFE"
 PROVED_RACE = "PROVED-RACE"
@@ -170,74 +174,108 @@ class RaceReport:
 
 
 # ---------------------------------------------------------------------------
-# Barrier classification
+# Divergence: do all threads of a TB reach a statement together?
 # ---------------------------------------------------------------------------
 
 
-def _thread_dep_guard(node: IfStmt, flow, block_dim, grid_dim, trips,
-                      child) -> bool:
-    env = flow.env_sites[id(node.cond)]
-    if cond_tb_uniform(node.cond, env):
-        return False
-    if child is node.then and cond_always_true(
-            node.cond, env, block_dim, grid_dim, trips):
-        return False
-    return True
+class Divergence:
+    """Says whether all threads of a TB reach a statement together.
 
+    A statement is divergent when it sits under a thread-dependent guard, in
+    a loop with a thread-dependent trip count, or in a loop with a
+    ``break``/``continue`` under such a guard.  A guard is thread-dependent
+    unless it is TB-uniform or, for its then-branch, provably true for every
+    launched thread.  The race analysis asks which barriers separate
+    intervals, ``catt lint`` which barriers are divergent, and the static
+    gate whether the barriers a warp split puts at a loop's position are.
+    """
 
-def _loop_has_divergent_exit(loop_stmt: Stmt, flow, block_dim, grid_dim,
-                             trips) -> bool:
-    """A ``break``/``continue`` under a thread-dependent guard lets threads
-    leave the loop at different iterations — every barrier in such a loop is
-    effectively divergent."""
-    for s in statements_in(loop_stmt):
-        if not isinstance(s, (BreakStmt, ContinueStmt)):
-            continue
-        path = path_to_stmt(loop_stmt, s) or ()
-        for node, child in zip(path, path[1:]):
-            if isinstance(node, IfStmt) and _thread_dep_guard(
-                    node, flow, block_dim, grid_dim, trips, child):
-                return True
-    return False
+    def __init__(self, analysis):
+        kl = analysis.kernel_loops
+        self.kernel = analysis.kernel
+        self.flow = kl.flow
+        self.block_dim = as_dim3(analysis.block_dim)
+        self.trips = _iterator_trips(kl)
+        self.loops = {id(r.stmt): r for r in kl.loops}
+        self._exits: dict[int, bool] = {}
 
+    def guard(self, node: IfStmt, child: Stmt) -> bool:
+        """May threads of a TB disagree on entering ``child``, a branch of
+        ``node``?"""
+        env = self.flow.env_sites[id(node.cond)]
+        if cond_tb_uniform(node.cond, env):
+            return False
+        return not (child is node.then and cond_always_true(
+            node.cond, env, self.block_dim, self.flow.grid_dim, self.trips))
 
-def _separating_syncs(kernel, kernel_loops, flow, block_dim,
-                      grid_dim) -> set[int]:
-    """``id(stmt)`` of every SyncthreadsStmt all threads of a TB reach
-    together (the same criteria ``CATT-E-DIVERGENT-BARRIER`` lints, plus the
-    thread-dependent ``break``/``continue`` case)."""
-    trips = _iterator_trips(kernel_loops)
-    recs_by_stmt = {id(r.stmt): r for r in kernel_loops.loops}
-    out: set[int] = set()
-    bad_loops: dict[int, bool] = {}
-    for stmt in statements_in(kernel.body):
-        if not isinstance(stmt, SyncthreadsStmt):
-            continue
-        path = path_to_stmt(kernel.body, stmt) or ()
-        divergent = False
+    @staticmethod
+    def thread_trips(rec) -> bool:
+        """May threads of a TB run loop ``rec`` for different trip counts?"""
+        return rec.bound is not None and (rec.bound.irregular or any(
+            s in _THREAD_AXES for s in rec.bound.symbols()))
+
+    def _exit(self, loop: Stmt) -> bool:
+        """A ``break``/``continue`` under a thread-dependent guard lets
+        threads leave ``loop`` at different iterations."""
+        if id(loop) not in self._exits:
+            self._exits[id(loop)] = False
+            for s in statements_in(loop):
+                if not isinstance(s, (BreakStmt, ContinueStmt)):
+                    continue
+                path = path_to_stmt(loop, s)
+                if any(isinstance(node, IfStmt) and self.guard(node, child)
+                       for node, child in zip(path, path[1:])):
+                    self._exits[id(loop)] = True
+                    break
+        return self._exits[id(loop)]
+
+    def why(self, stmt: Stmt) -> tuple[str, int | None] | None:
+        """None when all threads of a TB reach ``stmt`` together, else the
+        reason, as ``catt lint`` and the static gate word it, and the
+        ``loop_id`` of the loop behind it (None for a guard)."""
+        path = path_to_stmt(self.kernel.body, stmt)
+        if path is None:
+            raise ValueError("statement is not in the analysed kernel")
         for node, child in zip(path, path[1:]):
             if isinstance(node, IfStmt):
-                if _thread_dep_guard(node, flow, block_dim, grid_dim,
-                                     trips, child):
-                    divergent = True
-                    break
+                if self.guard(node, child):
+                    return "under a thread-dependent guard", None
                 continue
-            rec = recs_by_stmt.get(id(node))
+            rec = self.loops.get(id(node))
             if rec is None:
                 continue
-            if rec.bound is not None and (rec.bound.irregular or any(
-                    s in _THREAD_AXES for s in rec.bound.symbols())):
-                divergent = True
-                break
-            if id(node) not in bad_loops:
-                bad_loops[id(node)] = _loop_has_divergent_exit(
-                    node, flow, block_dim, grid_dim, trips)
-            if bad_loops[id(node)]:
-                divergent = True
-                break
-        if not divergent:
-            out.add(id(stmt))
-    return out
+            if self.thread_trips(rec):
+                return ("inside a loop with a thread-dependent trip count",
+                        rec.loop_id)
+            if self._exit(node):
+                return ("inside a loop with a thread-dependent break or "
+                        "continue", rec.loop_id)
+        return None
+
+
+def _iterator_trips(kernel_loops) -> dict[str, int]:
+    """iterator name -> constant trip count (max on collisions; absent when
+    any same-named loop has an unknown count)."""
+    trips: dict[str, int] = {}
+    unknown: set[str] = set()
+    for rec in kernel_loops.loops:
+        if rec.iterator is None:
+            continue
+        t = rec.trip_count()
+        if t is None:
+            unknown.add(rec.iterator)
+        else:
+            trips[rec.iterator] = max(trips.get(rec.iterator, 0), t)
+    for name in unknown:
+        trips.pop(name, None)
+    return trips
+
+
+def _separating_syncs(divergence: Divergence) -> set[int]:
+    """``id(stmt)`` of every SyncthreadsStmt all threads of a TB reach
+    together."""
+    return {id(s) for s in statements_in(divergence.kernel.body)
+            if isinstance(s, SyncthreadsStmt) and divergence.why(s) is None}
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +410,7 @@ def _shared_dims(kernel) -> dict[str, tuple[int, ...]]:
     return dims
 
 
-def _guarded_exprs(kernel, flow, block_dim, grid_dim, trips,
-                   recs_by_stmt) -> set[int]:
+def _guarded_exprs(divergence: Divergence) -> set[int]:
     """``id(expr)`` of every evaluation site under a thread-dependent guard
     or inside a loop with a thread-dependent trip count.  Such accesses may
     not execute for every thread, which only matters for *race witnesses*
@@ -384,23 +421,15 @@ def _guarded_exprs(kernel, flow, block_dim, grid_dim, trips,
         for e in expressions_in(stmt):
             guarded.add(id(e))
 
-    for stmt in statements_in(kernel.body):
+    for stmt in statements_in(divergence.kernel.body):
         if isinstance(stmt, IfStmt):
-            env = flow.env_sites[id(stmt.cond)]
-            if cond_tb_uniform(stmt.cond, env):
-                continue
-            then_ok = cond_always_true(stmt.cond, env, block_dim, grid_dim,
-                                       trips)
-            if not then_ok:
-                mark(stmt.then)
-            if stmt.otherwise is not None:
-                mark(stmt.otherwise)
-        else:
-            rec = recs_by_stmt.get(id(stmt))
-            if rec is not None and rec.bound is not None and (
-                    rec.bound.irregular or any(
-                        s in _THREAD_AXES for s in rec.bound.symbols())):
-                mark(stmt)
+            for child in (stmt.then, stmt.otherwise):
+                if child is not None and divergence.guard(stmt, child):
+                    mark(child)
+            continue
+        rec = divergence.loops.get(id(stmt))
+        if rec is not None and divergence.thread_trips(rec):
+            mark(stmt)
     return guarded
 
 
@@ -571,7 +600,6 @@ class _Prover:
         self.graph = graph
         self.cfg = graph.cfg
         self.block_dim = as_dim3(analysis.block_dim)
-        self.trips = _iterator_trips(analysis.kernel_loops)
         # loop stmt id -> (iterator, trip or None, barrier-strict)
         self.loop_facts: dict[int, tuple[str | None, int | None, bool]] = {}
         recs = {id(r.stmt): r for r in analysis.kernel_loops.loops}
@@ -819,33 +847,46 @@ def analyze_races(analysis) -> RaceReport:
     return _race_facts(analysis).report
 
 
-def loop_proved_safe(analysis, loop: Stmt) -> bool:
-    """Is every (array, barrier interval) that ``loop`` accesses PROVED-SAFE?
+def loop_conflicts(analysis, loop: Stmt) -> tuple[str, ...]:
+    """Why the warps of a TB may not run ``loop`` in another order; empty
+    when they may.
 
-    The sites are the analysis's own, read in the loop's CFG blocks (its
-    condition, body and step), so a store through a local pointer counts
-    against the array the pointer indexes, whatever the pointer's name.
-    Arrays the kernel touches only outside the loop do not matter.  The
-    answer is False when a loop block holds a reference that names no site
-    (a local array, an unresolved pointer, a ``*p`` dereference), or when a
-    ``for`` init references memory: the init sits in the preheader block
-    with the statements before the loop.  Calls are not looked into; the
-    caller excludes loops that make them.
+    Warp-splitting ``loop`` (or fusing its split copies back) reorders its
+    iterations across the warps of a TB, which keeps the kernel's meaning
+    when no thread's access in the loop conflicts with another thread's in
+    the same barrier interval.  So every (array, interval) with one of the
+    analysis's own access sites in the loop's CFG blocks (its condition,
+    body and step) must be PROVED-SAFE; each one that is not is named.
+    Sites are pointer-resolved, so a store through a local pointer counts
+    against the array the pointer indexes.  Arrays the kernel touches only
+    outside the loop do not matter.  A loop block holding a reference that
+    names no site (a local array, an unresolved pointer, a ``*p``
+    dereference) and a ``for`` init that references memory (the init sits
+    in the preheader block, with the statements before the loop) are
+    conflicts too.  Calls are not looked into.
     """
     facts = _race_facts(analysis)
     blocks = frozenset().union(*(
         cl.blocks for cl in analysis.kernel_loops.flow.cfg.loops
         if cl.stmt is loop))
-    if not blocks or blocks & facts.unplaced:
-        return False
+    if not blocks:
+        return ("loop not found in the kernel's CFG",)
+    out: list[str] = []
+    if blocks & facts.unplaced:
+        out.append("the loop holds a reference the race analysis cannot "
+                   "place on an array")
     if isinstance(loop, ForStmt) and loop.init is not None and any(
             isinstance(e, ArrayRef) or isinstance(e, UnaryOp) and e.op == "*"
             for e in expressions_in(loop.init)):
-        return False
-    verdicts = {(v.array, v.interval): v.verdict
-                for v in facts.report.verdicts}
-    return all(verdicts[site.array, interval] == PROVED_SAFE
-               for site, interval in facts.sites if site.block in blocks)
+        out.append("the loop's for-init references memory")
+    verdicts = {(v.array, v.interval): v for v in facts.report.verdicts}
+    for key in sorted({(site.array, interval) for site, interval
+                       in facts.sites if site.block in blocks}):
+        v = verdicts[key]
+        if v.verdict != PROVED_SAFE:
+            out.append(f"array {v.array!r} is {v.verdict} in barrier "
+                       f"interval #{v.interval}: {v.reason}")
+    return tuple(out)
 
 
 def _race_facts(analysis) -> _RaceFacts:
@@ -855,18 +896,13 @@ def _race_facts(analysis) -> _RaceFacts:
     kernel = analysis.kernel
     kl = analysis.kernel_loops
     flow = kl.flow
-    block_dim = as_dim3(analysis.block_dim)
-    grid_dim = flow.grid_dim
 
-    separating = _separating_syncs(kernel, kl, flow, block_dim, grid_dim)
+    divergence = Divergence(analysis)
+    separating = _separating_syncs(divergence)
     graph = _SegmentGraph(flow.cfg, separating)
-    trips = _iterator_trips(kl)
-    recs_by_stmt = {id(r.stmt): r for r in kl.loops}
-    guarded_ids = _guarded_exprs(kernel, flow, block_dim, grid_dim, trips,
-                                 recs_by_stmt)
     accesses, unplaced, blind = _collect_accesses(
-        flow, graph, separating, guarded_ids, _shared_dims(kernel),
-        kl.local_arrays)
+        flow, graph, separating, _guarded_exprs(divergence),
+        _shared_dims(kernel), kl.local_arrays)
 
     prover = _Prover(analysis, flow, graph)
     regions: dict[tuple[str, int], list[AccessSite]] = {}

@@ -1,25 +1,28 @@
 """Static transform-safety verifier and lint findings (``catt lint``).
 
 CATT's warp-level transform (Fig. 4) serializes the warps of a TB into
-guarded groups.  That is semantics-preserving exactly when no two warps of a
-TB communicate through memory inside the split region: the loop holds no
-barrier, every guard on the path to it is warp-convergent, and each thread's
-writes stay inside a private index range.  The differential gate
+guarded groups.  That is semantics-preserving exactly when every thread of
+the TB reaches the barriers the split inserts, and no two warps of the TB
+communicate through memory inside the split region.  The differential gate
 (:mod:`repro.transform.validate`) checks this *dynamically* on one input;
 this module proves it *statically* from the dataflow fixpoint, in two
 halves:
 
-* **Semantic legality** (:func:`verify_warp_split`) — per split loop, using
-  the affine forms of :class:`~repro.analysis.dataflow.affineprop.AffineFlow`
-  plus value-range reasoning over thread/block/iterator symbols:
+* **Semantic legality** (:func:`verify_warp_split`) — per split loop; the
+  race analysis (:mod:`repro.analysis.dataflow.races`) answers checks 2-4:
 
   1. the loop contains no ``__syncthreads()``;
-  2. every enclosing ``if`` guard is TB-uniform, or provably true for every
-     thread of every launched block (range analysis);
-  3. for every global array the loop writes, the interval of indexes one
-     thread touches is disjoint from every other thread's interval
-     (``|C_tid|`` exceeds the per-thread span over all enclosed iterations);
-  4. the loop writes no ``__shared__`` array.
+  2. all threads of a TB reach the loop's position together
+     (:class:`~repro.analysis.dataflow.races.Divergence`: no
+     thread-dependent guard, trip count or ``break``/``continue`` on the
+     way; a guard is also convergent when range analysis proves it true for
+     every launched thread), so every warp reaches the split's barriers;
+  3. every (array, barrier interval) the loop accesses is PROVED-SAFE;
+  4. the loop holds no reference the analysis cannot place, and its
+     ``for`` init references no memory.
+
+  Checks 3 and 4 are :func:`~repro.analysis.dataflow.races.loop_conflicts`,
+  the proof the tape asks before it fuses a split's copies.
 
 * **Structural translation validation** (:func:`split_shape_matches`) — the
   emitted kernel must be the original with each split loop replaced by the
@@ -33,14 +36,11 @@ A transform that passes both halves is reported
 ``CATT-I-STATIC-SAFE`` and skips the differential gate's functional runs
 entirely (:mod:`repro.transform.pipeline`).
 
-The same per-access machinery powers the ``catt lint`` CLI findings:
-irregular indexes, fully diverged references (``REQ_warp = 32``), divergent
-barriers, and shared-memory race verdicts from the barrier-interval MHP
-analysis (:mod:`repro.analysis.dataflow.races`).  Checks 3 and 4 above are
-additionally subsumed per-array by a ``PROVED-SAFE`` race verdict: an array
-whose every barrier interval is proved cross-thread disjoint cannot carry
-intra-TB communication, so warp-split (a pure intra-TB reordering) keeps it
-race-free even when the interval heuristics of checks 3/4 fail.
+The same machinery powers the ``catt lint`` CLI findings: irregular
+indexes, fully diverged references (``REQ_warp = 32``), divergent barriers
+(the classifier of check 2) and shared-memory race verdicts.  The range
+helpers here (:func:`cond_always_true`, :func:`cond_tb_uniform`) are the
+race analysis's guard predicates.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from ...frontend.ast_nodes import (
     Stmt,
     SyncthreadsStmt,
     WhileStmt,
-    path_to_stmt,
     statements_in,
     walk_expr,
 )
@@ -245,167 +244,33 @@ def _cond_leaves(cond: Expr):
 # ---------------------------------------------------------------------------
 
 
-def _iterator_trips(kernel_loops) -> dict[str, int]:
-    """iterator name -> constant trip count (max on collisions; absent when
-    any same-named loop has an unknown count)."""
-    trips: dict[str, int] = {}
-    unknown: set[str] = set()
-    for rec in kernel_loops.loops:
-        if rec.iterator is None:
-            continue
-        t = rec.trip_count()
-        if t is None:
-            unknown.add(rec.iterator)
-        else:
-            trips[rec.iterator] = max(trips.get(rec.iterator, 0), t)
-    for name in unknown:
-        trips.pop(name, None)
-    return trips
-
-
-def _shared_writes_in(stmt: Stmt, shared: set[str]) -> list[str]:
-    out = []
-    from ...frontend.ast_nodes import expressions_in
-
-    for e in expressions_in(stmt):
-        if isinstance(e, Assign) and isinstance(e.target, ArrayRef):
-            base = e.target.base
-            if isinstance(base, Ident) and base.name in shared:
-                out.append(base.name)
-    return out
-
-
-def _thread_exclusive(accesses, trips: dict[str, int]) -> str | None:
-    """Check that no two threads of a TB touch a common element through any
-    of ``accesses`` (all referencing one written array).  Returns a reason
-    string when the proof fails, None when exclusive.
-
-    Proof obligation: with a common thread coefficient ``ct`` and identical
-    block coefficients, thread ``t`` touches indexes inside
-    ``[ct*t + lo, ct*t + hi]``; the intervals are pairwise disjoint iff
-    ``hi - lo < |ct|``.
-    """
-    cts: set[int] = set()
-    blocks: set[tuple] = set()
-    spans: list[tuple[int, int]] = []
-    for acc in accesses:
-        form = acc.index
-        if form.irregular:
-            return "irregular index on a written array"
-        lo = hi = form.const
-        bcoeffs = {}
-        for sym, c in form.coeffs:
-            if sym == TIDX:
-                continue
-            if sym in (TIDY, TIDZ):
-                return f"{sym} appears in a written index (2-D TB)"
-            if sym in _BLOCK_AXES:
-                bcoeffs[sym] = c
-                continue
-            if sym not in trips:
-                return f"unbounded symbol {sym!r} in a written index"
-            span = max(trips[sym] - 1, 0)
-            if c >= 0:
-                hi += c * span
-            else:
-                lo += c * span
-        cts.add(form.coeff(TIDX) or 0)
-        blocks.add(tuple(sorted(bcoeffs.items())))
-        spans.append((lo, hi))
-    if len(cts) != 1:
-        return "accesses disagree on the thread coefficient"
-    if len(blocks) != 1:
-        return "accesses disagree on block coefficients"
-    ct = abs(next(iter(cts)))
-    if ct == 0:
-        return "thread coefficient is 0 (every thread hits the same element)"
-    lo = min(s[0] for s in spans)
-    hi = max(s[1] for s in spans)
-    if hi - lo >= ct:
-        return (f"per-thread index span {hi - lo} is not covered by the "
-                f"thread stride {ct}")
-    return None
-
-
 def verify_warp_split(analysis, la) -> SafetyVerdict:
     """Prove that splitting loop ``la`` into warp groups preserves semantics.
 
     ``analysis`` is a :class:`~repro.analysis.kernel_info.KernelAnalysis`;
-    ``la`` one of its :class:`LoopAnalysis` entries.
+    ``la`` one of its :class:`LoopAnalysis` entries.  Checks 2-4 are the
+    race analysis's answers (:mod:`repro.analysis.dataflow.races`); a
+    failure there propagates, so the static proof fails loudly.
     """
+    from .races import Divergence, loop_conflicts
+
     rec = la.record
-    kernel = analysis.kernel
-    kl = analysis.kernel_loops
-    flow = kl.flow
-    block_dim = analysis.block_dim
-    grid_dim = flow.grid_dim
-    trips = _iterator_trips(kl)
     reasons: list[str] = []
 
     # 1. No barrier inside the region being serialized.
     if rec.contains_sync:
         reasons.append("loop contains __syncthreads()")
 
-    # 2. Enclosing guards must be warp-convergent for the barrier the split
-    #    inserts after each group: TB-uniform, or provably always true.
-    path = path_to_stmt(kernel.body, rec.stmt)
-    if path is None:
-        reasons.append("loop statement not found in the kernel body")
-        path = ()
-    for node, child in zip(path, path[1:]):
-        if not isinstance(node, IfStmt):
-            continue
-        env = flow.env_sites[id(node.cond)]
-        if child is node.otherwise:
-            # else-branch: a range proof of the *negation* is not attempted.
-            if not cond_tb_uniform(node.cond, env):
-                reasons.append("loop guarded by the else-branch of a "
-                               "thread-dependent condition")
-            continue
-        if cond_tb_uniform(node.cond, env):
-            continue
-        if cond_always_true(node.cond, env, block_dim, grid_dim, trips):
-            continue
-        reasons.append("enclosing guard is thread-dependent and not "
-                       "provably true for the launch")
+    # 2. Every thread of a TB reaches the barriers the split puts at the
+    #    loop's position.
+    why = Divergence(analysis).why(rec.stmt)
+    if why is not None:
+        reasons.append(f"the split's barriers would sit {why[0]}")
 
-    # Checks 3 and 4 guard against intra-TB cross-thread communication
-    # through memory; a PROVED-SAFE race verdict on every barrier interval
-    # of an array is a stronger proof of the same property (warp splitting
-    # only reorders execution within a TB), so it subsumes both.
-    safe_global, safe_shared = _race_safe_arrays(analysis)
-
-    # 3. Written global arrays must be thread-exclusive.
-    by_array: dict[str, list] = {}
-    for acc in rec.unique_accesses():
-        by_array.setdefault(acc.array, []).append(acc)
-    for array, accs in sorted(by_array.items()):
-        if not any(a.is_write for a in accs):
-            continue
-        if array in safe_global:
-            continue
-        why = _thread_exclusive(accs, trips)
-        if why is not None:
-            reasons.append(f"array {array!r}: {why}")
-
-    # 4. No shared-memory writes inside the loop (cross-warp channel).
-    for name in sorted(set(_shared_writes_in(rec.stmt, kl.shared_arrays))):
-        if name in safe_shared:
-            continue
-        reasons.append(f"loop writes __shared__ array {name!r}")
-
+    # 3-4. No two threads of a TB communicate through the loop, so the
+    #    warp groups may run it in any order.
+    reasons.extend(loop_conflicts(analysis, rec.stmt))
     return SafetyVerdict(not reasons, tuple(reasons))
-
-
-def _race_safe_arrays(analysis) -> tuple[set[str], set[str]]:
-    """(global, shared) arrays every one of whose (array, interval) race
-    verdicts is PROVED-SAFE — no two threads of a TB can touch a common
-    element between barriers anywhere in the kernel.  A race-analysis
-    failure propagates, so the static proof fails loudly."""
-    from .races import analyze_races
-
-    report = analyze_races(analysis)
-    return report.safe_arrays("global"), report.safe_arrays("shared")
 
 
 # ---------------------------------------------------------------------------
@@ -629,42 +494,18 @@ def findings_for_analysis(analysis) -> list[LintFinding]:
 
 
 def _barrier_findings(analysis, code: str) -> list[LintFinding]:
-    kernel = analysis.kernel
-    kl = analysis.kernel_loops
-    flow = kl.flow
-    block_dim = analysis.block_dim
-    grid_dim = flow.grid_dim
-    trips = _iterator_trips(kl)
-    recs_by_stmt = {id(r.stmt): r for r in kl.loops}
+    from .races import Divergence
+
+    divergence = Divergence(analysis)
     out: list[LintFinding] = []
-    for stmt in statements_in(kernel.body):
+    for stmt in statements_in(analysis.kernel.body):
         if not isinstance(stmt, SyncthreadsStmt):
             continue
-        path = path_to_stmt(kernel.body, stmt) or ()
-        for node, child in zip(path, path[1:]):
-            if isinstance(node, IfStmt):
-                env = flow.env_sites[id(node.cond)]
-                if cond_tb_uniform(node.cond, env):
-                    continue
-                if child is node.then and cond_always_true(
-                        node.cond, env, block_dim, grid_dim, trips):
-                    continue
-                out.append(LintFinding(
-                    code, kernel.name,
-                    "__syncthreads() under a thread-dependent guard",
-                    line=_line_of(stmt.loc)))
-                break
-            rec = recs_by_stmt.get(id(node))
-            if rec is not None and rec.bound is not None:
-                tid_dep = rec.bound.irregular or any(
-                    s in _THREAD_AXES for s in rec.bound.symbols())
-                if tid_dep:
-                    out.append(LintFinding(
-                        code, kernel.name,
-                        "__syncthreads() inside a loop with a "
-                        "thread-dependent trip count",
-                        loop_id=rec.loop_id, line=_line_of(stmt.loc)))
-                    break
+        why = divergence.why(stmt)
+        if why is not None:
+            out.append(LintFinding(
+                code, analysis.kernel.name, f"__syncthreads() {why[0]}",
+                loop_id=why[1], line=_line_of(stmt.loc)))
     return out
 
 

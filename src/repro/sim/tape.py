@@ -59,11 +59,14 @@ run as one loop when the loop holds no atomic, ``__device__`` call, return,
 barrier, ternary or local-array declaration, and either no store or stores
 the race analysis proves safe: rebuilt with the 2N statements replaced by
 the one loop, the kernel must get PROVED-SAFE for every (array, barrier
-interval) the loop accesses at the launch's block and grid
-(:meth:`TapeProgram.proved_splits`, decided once per program and launch
-shape; a proof that fails proves nothing).  The analysis takes each pointer
-parameter for its own array, so a launch that binds one allocation to two
-pointer arguments uses no proof.  When the copies may run as one loop, no
+interval) the loop accesses at the launch's block and grid, and the loop
+must hold no reference the analysis cannot place: the conflicts
+:func:`~repro.analysis.dataflow.races.loop_conflicts` names, which are
+also the static gate's checks 3-4 (:meth:`TapeProgram.proved_splits`,
+decided once per program and launch shape; a proof that fails proves
+nothing).  The analysis takes each pointer parameter for its own array,
+so a launch that binds one allocation to two pointer arguments uses no
+proof.  When the copies may run as one loop, no
 warp has lanes in two copies, the launch is not sanitized and the region is
 not inside a ``__device__`` call, the executor runs each copy's guard and
 barrier as the copies would, runs the loop *once* under the union of the
@@ -362,8 +365,9 @@ def _unsplit_loop_race_free(kernel: FunctionDef, split: _StoringSplit,
                             block_dim, grid_dim) -> bool:
     """Rebuild ``kernel`` with the split's copies and barriers replaced by
     its one loop, and ask the race analysis, at this block and grid,
-    whether every (array, barrier interval) the loop touches is PROVED-SAFE
-    (:func:`~repro.analysis.dataflow.races.loop_proved_safe`).
+    whether the warps of a TB may run that loop in any order
+    (:func:`~repro.analysis.dataflow.races.loop_conflicts` names no
+    conflict), as the static gate asks before it calls a warp split safe.
 
     That is the condition under which the copies may run as one masked
     loop: the barriers make warp group k finish the loop before group k + 1
@@ -373,7 +377,7 @@ def _unsplit_loop_race_free(kernel: FunctionDef, split: _StoringSplit,
     """
     from types import SimpleNamespace
 
-    from ..analysis.dataflow.races import loop_proved_safe
+    from ..analysis.dataflow.races import loop_conflicts
     from ..analysis.loops import find_loops
     from ..transform.utils import replace_stmt, with_body
 
@@ -384,7 +388,7 @@ def _unsplit_loop_race_free(kernel: FunctionDef, split: _StoringSplit,
     # A proof that fails proves nothing: the copies run as written.
     try:
         kernel_loops = find_loops(unsplit, block_dim, grid_dim)
-        return loop_proved_safe(SimpleNamespace(
+        return not loop_conflicts(SimpleNamespace(
             kernel=unsplit, kernel_loops=kernel_loops, block_dim=block_dim),
             split.loop)
     except Exception:

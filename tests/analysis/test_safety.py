@@ -1,6 +1,8 @@
 """Static transform-safety verifier tests: range proofs, warp-split
 legality rules, the structural shape matcher, and lint findings."""
 
+import pytest
+
 from repro.analysis import analyze_kernel
 from repro.analysis.affine import BIDX, TIDX, AffineForm, SymbolicEnv
 from repro.analysis.dataflow.safety import (
@@ -169,8 +171,8 @@ __global__ void k(float *a) {
 
 def test_shared_write_private_slot_upgraded_by_race_proof():
     # Each thread only ever touches tile[threadIdx.x]: the race analysis
-    # proves every barrier interval disjoint, so the PROVED-SAFE verdict
-    # subsumes the blanket "no shared writes" rule (check 4).
+    # proves every barrier interval disjoint, so a loop that writes shared
+    # memory passes checks 3-4.
     analysis = analysis_of("""
 __global__ void k(float *a) {
     __shared__ float tile[256];
@@ -187,7 +189,7 @@ __global__ void k(float *a) {
 
 def test_shared_write_cross_thread_in_loop_fails():
     # Reading a neighbour's slot defeats the disjointness proof (the modulo
-    # makes the index irregular -> UNKNOWN), so check 4 still blocks.
+    # makes the index irregular -> UNKNOWN), so checks 3-4 still block.
     analysis = analysis_of("""
 __global__ void k(float *a) {
     __shared__ float tile[256];
@@ -200,7 +202,78 @@ __global__ void k(float *a) {
 """)
     verdict = verify_warp_split(analysis, analysis.loops[0])
     assert not verdict.safe
-    assert any("__shared__" in r for r in verdict.reasons)
+    assert any("'tile' is UNKNOWN" in r for r in verdict.reasons)
+
+
+def test_store_through_a_dereference_fails():
+    # ``*(a + t + 1)`` names no array the analysis can place, so it may
+    # write the ``a[t]`` another warp group reads.
+    analysis = analysis_of("""
+__global__ void k(float *a, float *b) {
+    int t = threadIdx.x;
+    for (int j = 0; j < 8; j++) {
+        b[t * 8 + j] = a[t];
+        *(a + t + 1) = b[t * 8 + j];
+    }
+}
+""", grid=(1, 1, 1))
+    verdict = verify_warp_split(analysis, analysis.loops[0])
+    assert not verdict.safe
+    assert verdict.reasons
+
+
+# Every loop of every registry launch at test scale: "S" where
+# ``verify_warp_split`` proves the loop's split safe, "U" where it does not,
+# by loop_id.  Both L1D specs give the same verdicts.
+REGISTRY_VERDICTS = {
+    ("2MM", "mm2_kernel1"): "U", ("2MM", "mm2_kernel2"): "U",
+    ("3MM", "mm3_kernel1"): "U", ("3MM", "mm3_kernel2"): "U",
+    ("3MM", "mm3_kernel3"): "U",
+    ("ATAX", "atax_kernel1"): "S", ("ATAX", "atax_kernel2"): "U",
+    ("BFS", "bfs_kernel1"): "U",
+    ("BICG", "bicg_kernel1"): "U", ("BICG", "bicg_kernel2"): "S",
+    ("BP", "bpnn_layerforward"): "U",
+    ("BT", "btree_findk"): "SS",
+    ("CFD", "cfd_compute_flux"): "S", ("CFD", "cfd_initialize"): "S",
+    ("CORR", "corr_kernel"): "UU", ("CORR", "corr_mean"): "S",
+    ("CORR", "corr_normalize"): "S", ("CORR", "corr_std"): "S",
+    ("GEMM", "gemm_kernel"): "S",
+    ("GRAM", "gram_rdot"): "U", ("GRAM", "gram_update"): "U",
+    ("GSMV", "gesummv_kernel"): "S",
+    ("HM", "huffman_decode"): "S",
+    ("HP", "hotspot_kernel"): "U",
+    ("HW", "hw_track"): "SS",
+    ("KM", "kmeans_assign"): "SS", ("KM", "kmeans_swap"): "S",
+    ("LUD", "lud_diagonal"): "SUUU",
+    ("LVMD", "lavamd_kernel"): "S",
+    ("MC", "myocyte_solve"): "S",
+    ("MVT", "mvt_kernel1"): "S", ("MVT", "mvt_kernel2"): "U",
+    ("PF", "pf_likelihood"): "SSS", ("PF", "pf_moments"): "S",
+    ("PF", "pf_normalize"): "S", ("PF", "pf_weights"): "S",
+    ("SYR2K", "syr2k_kernel"): "S",
+    ("SYRK", "syrk_kernel"): "S",
+}
+
+
+@pytest.mark.parametrize("spec_name", ["max", "32k"])
+def test_registry_static_verdicts(spec_name):
+    from repro.experiments.common import SPECS
+    from repro.workloads import WORKLOADS, get_workload
+
+    got = {}
+    for app in sorted(WORKLOADS):
+        wl = get_workload(app, "test")
+        unit = wl.unit()
+        for kernel, (grid, block) in wl.launch_configs().items():
+            analysis = analyze_kernel(unit, kernel, block, SPECS[spec_name],
+                                      grid=grid)
+            if analysis.loops:
+                got[app, kernel] = "".join(
+                    "S" if verify_warp_split(analysis, la).safe else "U"
+                    for la in analysis.loops)
+    assert got == REGISTRY_VERDICTS
+    verdicts = "".join(got.values())
+    assert (len(verdicts), verdicts.count("S")) == (47, 29)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +387,27 @@ __global__ void k(float *a) {
 }
 """)
     assert E_DIVERGENT_BARRIER not in _codes(analysis)
+
+
+def test_divergent_barrier_in_loop_with_thread_dependent_break_flagged():
+    # Thread 3 leaves the loop at its first iteration; the rest of its warp
+    # and the other warps wait at the barrier every iteration.
+    analysis = analysis_of("""
+__global__ void k(float *a) {
+    __shared__ float s[256];
+    int t = threadIdx.x;
+    for (int j = 0; j < 8; j++) {
+        if (t == 3) break;
+        s[t] = a[t * 8 + j];
+        __syncthreads();
+        a[t * 8 + j] = s[255 - t];
+    }
+}
+""")
+    hits = [f for f in findings_for_analysis(analysis)
+            if f.code == E_DIVERGENT_BARRIER]
+    assert [(f.loop_id, f.line) for f in hits] == [(0, 8)]
+    assert "break" in hits[0].message
 
 
 def test_shared_race_without_barrier_proved():

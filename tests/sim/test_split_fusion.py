@@ -36,7 +36,7 @@ from repro.analysis.dataflow import races
 from repro.analysis.dataflow.races import (
     UNKNOWN,
     analyze_races,
-    loop_proved_safe,
+    loop_conflicts,
 )
 from repro.analysis.kernel_info import analyze_kernel
 from repro.baselines.bftt import apply_fixed_throttle, candidate_factors
@@ -309,7 +309,7 @@ def test_failed_proof_runs_the_copies(monkeypatch):
     def broken(analysis, loop):
         raise RuntimeError("prover failure")
 
-    monkeypatch.setattr(races, "loop_proved_safe", broken)
+    monkeypatch.setattr(races, "loop_conflicts", broken)
     src = KERNELS["store"][0]
     results: list = []
     got = _observe(monkeypatch, _launch(src, results), TAPE)
@@ -403,7 +403,7 @@ def test_unknown_store_in_the_loop_keeps_hp_copies(monkeypatch):
                               grid=grid)
     assert [v.array for v in analyze_races(analysis).unknowns()] == ["tOut"]
     (record,) = analysis.kernel_loops.loops
-    assert not loop_proved_safe(analysis, record.stmt)
+    assert loop_conflicts(analysis, record.stmt)
     for n, m in candidate_factors(wl, spec, max_tb_reductions=2):
         if n > 1:
             got = _observe(monkeypatch, _candidate_run("HP", spec, n, m)[1],

@@ -5,7 +5,11 @@ from repro.frontend import emit, parse
 from repro.sim.arch import TITAN_V_SIM, TITAN_V_SIM_32K
 from repro.transform import catt_compile
 from repro.transform import pipeline as pipeline_mod
-from repro.transform.diagnostics import I_STATIC_SAFE, W_STATIC_PROOF
+from repro.transform.diagnostics import (
+    I_STATIC_SAFE,
+    W_REVERTED,
+    W_STATIC_PROOF,
+)
 from repro.transform.validate import STATIC_SAFE
 
 ATAX = """
@@ -76,20 +80,64 @@ def test_unprovable_kernel_falls_back_to_differential(monkeypatch):
     assert t.validation.must_revert
 
 
+# CATT splits the inner loop (loop 1) by 2; the split's barriers land in the
+# body of the outer loop.
+NESTED = """
+__global__ void k(float *A, float *y, int *len) {
+    int t = blockIdx.x * blockDim.x + threadIdx.x;
+    for (int r = 0; BOUND; r++) {
+        HEAD
+        for (int j = 0; j < 256; j++) {
+            y[t * 256 + j] += A[t * 256 + j];
+        }
+    }
+}
+"""
+
+
+def _compile_nested(monkeypatch, bound, head=""):
+    calls = _count_differential(monkeypatch)
+    src = NESTED.replace("BOUND", bound).replace("HEAD", head)
+    comp = catt_compile(parse(src), {"k": (4, 256)}, TITAN_V_SIM,
+                        validate=True)
+    t = comp.transforms["k"]
+    assert t.warp_splits == [(1, 2)]
+    codes = {d.code for d in comp.diagnostics_for("k")}
+    assert calls and I_STATIC_SAFE not in codes
+    return t, codes
+
+
+def test_split_in_loop_with_thread_dependent_trip_count_is_validated(
+        monkeypatch):
+    """Threads leave ``r < len[t]`` after different trips, so warps whose
+    threads are all done skip the split's barriers that the others wait at:
+    the static proof must not call the split safe, and the differential
+    gate catches the deadlock and reverts."""
+    t, codes = _compile_nested(monkeypatch, "r < len[t]")
+    assert t.validation.status == "deadlock"
+    assert t.reverted and W_REVERTED in codes
+
+
+def test_split_in_loop_with_thread_dependent_break_is_validated(monkeypatch):
+    """A thread-dependent ``break`` in the enclosing loop makes the split's
+    barriers divergent too, so the kernel goes to the differential gate.
+    The gate passes it: each warp keeps live lanes that reach every
+    barrier."""
+    t, codes = _compile_nested(monkeypatch, "r < 4", "if (t == r) break;")
+    assert t.validation.ok and not t.reverted
+    assert W_REVERTED not in codes
+
+
 def test_static_proof_crash_is_reported_before_dynamic_gate(monkeypatch):
     """If the race analysis crashes inside the static proof, the pipeline
     records why (CATT-W-STATIC-PROOF) and the differential gate decides."""
     from repro.analysis.dataflow import races
 
-    real, seen = races.analyze_races, []
+    def crash_in_proof(analysis, loop):
+        raise RuntimeError("prover bug")
 
-    def crash_in_proof(analysis):
-        seen.append(analysis)
-        if len(seen) > 1:          # the pipeline's own race stage succeeds
-            raise RuntimeError("prover bug")
-        return real(analysis)
-
-    monkeypatch.setattr(races, "analyze_races", crash_in_proof)
+    # The pipeline's own race stage still succeeds.
+    monkeypatch.setattr(races, "loop_conflicts", crash_in_proof)
     calls = _count_differential(monkeypatch)
     comp = catt_compile(parse(ATAX), LAUNCHES, TITAN_V_SIM, validate=True)
     t = comp.transforms["atax_kernel1"]
@@ -122,11 +170,11 @@ def test_static_safe_report_counts_as_ok():
 
 
 def test_syr2k_upgraded_to_static_fast_path(monkeypatch):
-    """Regression: SYR2K previously fell back to the differential gate
-    because check 3 cannot reason about threadIdx.y in a written index
-    (2-D TB).  The race analysis proves 'c' cross-thread disjoint on every
-    barrier interval, which subsumes that check — the kernel must now take
-    the static fast path with zero lockstep runs."""
+    """Regression: SYR2K once fell back to the differential gate because
+    an index-span check could not reason about threadIdx.y in a written
+    index (2-D TB).  The race analysis proves 'c' cross-thread disjoint in
+    every barrier interval the loop touches, so the kernel takes the static
+    fast path with zero lockstep runs."""
     from repro.workloads import get_workload
 
     calls = _count_differential(monkeypatch)
