@@ -32,8 +32,8 @@ def test_fig3(benchmark, emit_report):
     for fill in FILL_POINTS:
         curve = data[fill]
         best = best_tlp(curve)
-        # The minimum sits at (or immediately next to) the fill point, and
-        # both curve ends are worse — §3.3's trade-off.
-        assert best in (fill // 2, fill, fill * 2), (fill, curve)
+        # The minimum sits at the fill point, and both curve ends are
+        # worse — §3.3's trade-off.
+        assert best == fill, (fill, curve)
         assert curve[1] > curve[best]
         assert curve[32] > curve[best]

@@ -32,7 +32,7 @@ from .occupancy import (
     shared_usage_bytes,
 )
 from .report import format_analysis
-from .throttle import SearchBudget, ThrottleDecision, candidate_ns, find_throttle
+from .throttle import ThrottleDecision, candidate_ns, find_throttle
 
 __all__ = [
     "AffineForm",
@@ -66,5 +66,4 @@ __all__ = [
     "ThrottleDecision",
     "candidate_ns",
     "find_throttle",
-    "SearchBudget",
 ]

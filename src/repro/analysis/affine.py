@@ -243,25 +243,3 @@ def _fold_const(op: str, a: int, b: int) -> AffineForm:
     except (KeyError, ValueError, OverflowError):
         return AffineForm.unknown()
     return AffineForm.constant(value)
-
-
-def lane_coefficient(form: AffineForm, block_dim: tuple[int, int, int]) -> int | None:
-    """Element distance between *adjacent lanes of one warp* (the paper's
-    ``C_tid``).
-
-    Lanes vary ``threadIdx.x`` fastest; in multidimensional TBs a warp can
-    wrap into the next ``threadIdx.y`` row, which §4.2 notes is handled by
-    enumerating the warp's addresses — see
-    :func:`repro.analysis.coalescing.requests_per_warp_enumerated`.
-    Returns None for irregular forms.
-    """
-    if form.irregular:
-        return None
-    return form.coeff(TIDX)
-
-
-def iterator_coefficient(form: AffineForm, iterator: str) -> int | None:
-    """Element distance between consecutive iterations (the paper's ``C_i``)."""
-    if form.irregular:
-        return None
-    return form.coeff(iterator)

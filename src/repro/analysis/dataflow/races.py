@@ -50,7 +50,9 @@ barriers and the static gate's check that every warp reaches the barriers
 a split puts at a loop's position.  :func:`loop_conflicts` says why the
 warps of a TB may not run a loop in another order; the static gate
 (:func:`~repro.analysis.dataflow.safety.verify_warp_split`) and the tape's
-split fusion both ask it.
+split fusion both ask it.  The guard predicates :class:`Divergence` uses
+(:func:`cond_tb_uniform`, and :func:`cond_always_true` over
+:func:`form_range`'s value ranges) live here too.
 """
 
 from __future__ import annotations
@@ -63,10 +65,12 @@ import numpy as np
 from ...frontend.ast_nodes import (
     ArrayRef,
     Assign,
+    BinOp,
     BreakStmt,
     Call,
     ContinueStmt,
     DeclStmt,
+    DoWhileStmt,
     Expr,
     ForStmt,
     Ident,
@@ -75,22 +79,33 @@ from ...frontend.ast_nodes import (
     Stmt,
     SyncthreadsStmt,
     UnaryOp,
+    WhileStmt,
     expressions_in,
     path_to_stmt,
     statements_in,
     walk_expr,
 )
 from ...sim.arch import as_dim3
-from ..affine import TIDX, TIDY, TIDZ, AffineForm, analyze_expr
+from ..affine import (
+    BIDX,
+    BIDY,
+    BIDZ,
+    TIDX,
+    TIDY,
+    TIDZ,
+    AffineForm,
+    SymbolicEnv,
+    analyze_expr,
+)
 from .affineprop import ptr_state_of
 from .cfg import DECL, EVAL, SYNC, CFGLoop
-from .safety import _line_of, cond_always_true, cond_tb_uniform
 
 PROVED_SAFE = "PROVED-SAFE"
 PROVED_RACE = "PROVED-RACE"
 UNKNOWN = "UNKNOWN"
 
-_THREAD_AXES = (TIDX, TIDY, TIDZ)
+_THREAD_AXES = {TIDX: 0, TIDY: 1, TIDZ: 2}
+_BLOCK_AXES = {BIDX: 0, BIDY: 1, BIDZ: 2}
 
 # Enumeration guard: pair proofs fall back to UNKNOWN rather than grind
 # through astronomically large candidate sets.
@@ -174,6 +189,125 @@ class RaceReport:
 
 
 # ---------------------------------------------------------------------------
+# Value ranges over affine forms, and the guard predicates built on them
+# ---------------------------------------------------------------------------
+
+
+def form_range(
+    form: AffineForm,
+    block_dim: tuple[int, int, int] | None,
+    grid_dim: tuple[int, int, int] | None,
+    trips: dict[str, int] | None = None,
+) -> tuple[int, int] | None:
+    """Inclusive [lo, hi] of ``form`` over every thread of every block.
+
+    Thread symbols range over ``[0, blockDim-1]``, block symbols over
+    ``[0, gridDim-1]``, loop iterators over ``[0, trips[name]-1]``.  Any
+    other symbol (params, unknown iterators) or an irregular form defeats
+    the range — returns None.
+    """
+    if form.irregular:
+        return None
+    lo = hi = form.const
+    for sym, c in form.coeffs:
+        if sym in _THREAD_AXES:
+            if block_dim is None:
+                return None
+            span = block_dim[_THREAD_AXES[sym]] - 1
+        elif sym in _BLOCK_AXES:
+            if grid_dim is None:
+                return None
+            span = grid_dim[_BLOCK_AXES[sym]] - 1
+        elif trips is not None and sym in trips:
+            span = trips[sym] - 1
+        else:
+            return None
+        if span < 0:
+            span = 0
+        if c >= 0:
+            hi += c * span
+        else:
+            lo += c * span
+    return lo, hi
+
+
+def _sides(cond: Expr) -> tuple[Expr, Expr, str] | None:
+    if isinstance(cond, BinOp) and cond.op in ("<", "<=", ">", ">=",
+                                               "==", "!="):
+        return cond.left, cond.right, cond.op
+    return None
+
+
+def cond_always_true(
+    cond: Expr,
+    env: SymbolicEnv,
+    block_dim: tuple[int, int, int] | None,
+    grid_dim: tuple[int, int, int] | None,
+    trips: dict[str, int] | None = None,
+) -> bool:
+    """Prove ``cond`` holds for every thread of every launched block.
+
+    Handles ``&&`` conjunctions of order comparisons whose ``left - right``
+    range is conclusive; anything else is "not provable" (False).
+    """
+    if isinstance(cond, BinOp) and cond.op == "&&":
+        return (cond_always_true(cond.left, env, block_dim, grid_dim, trips)
+                and cond_always_true(cond.right, env, block_dim, grid_dim,
+                                     trips))
+    parts = _sides(cond)
+    if parts is None:
+        return False
+    left, right, op = parts
+    diff = analyze_expr(left, env) - analyze_expr(right, env)
+    rng = form_range(diff, block_dim, grid_dim, trips)
+    if rng is None:
+        return False
+    lo, hi = rng
+    if op == "<":
+        return hi < 0
+    if op == "<=":
+        return hi <= 0
+    if op == ">":
+        return lo > 0
+    if op == ">=":
+        return lo >= 0
+    return False  # ==, != : no useful proof from a range
+
+
+def cond_tb_uniform(cond: Expr, env: SymbolicEnv) -> bool:
+    """True when every thread of a TB evaluates ``cond`` identically —
+    i.e. no thread symbol (and nothing irregular) feeds the comparison."""
+    for node in walk_expr(cond):
+        if isinstance(node, (Assign,)):
+            return False
+    for side in _cond_leaves(cond):
+        form = analyze_expr(side, env)
+        if form.irregular:
+            return False
+        if any(sym in _THREAD_AXES for sym in form.symbols()):
+            return False
+    return True
+
+
+def _cond_leaves(cond: Expr):
+    """Comparison operands under a boolean combinator tree."""
+    if isinstance(cond, BinOp) and cond.op in ("&&", "||"):
+        yield from _cond_leaves(cond.left)
+        yield from _cond_leaves(cond.right)
+        return
+    parts = _sides(cond)
+    if parts is not None:
+        yield parts[0]
+        yield parts[1]
+    else:
+        yield cond
+
+
+def line_of(loc) -> int | None:
+    return getattr(loc, "line", None)
+
+
+# ---------------------------------------------------------------------------
 # Divergence: do all threads of a TB reach a statement together?
 # ---------------------------------------------------------------------------
 
@@ -183,7 +317,7 @@ class Divergence:
 
     A statement is divergent when it sits under a thread-dependent guard, in
     a loop with a thread-dependent trip count, or in a loop with a
-    ``break``/``continue`` under such a guard.  A guard is thread-dependent
+    ``break``/``continue`` of its own under such a guard.  A guard is thread-dependent
     unless it is TB-uniform or, for its then-branch, provably true for every
     launched thread.  The race analysis asks which barriers separate
     intervals, ``catt lint`` which barriers are divergent, and the static
@@ -215,14 +349,18 @@ class Divergence:
             s in _THREAD_AXES for s in rec.bound.symbols()))
 
     def _exit(self, loop: Stmt) -> bool:
-        """A ``break``/``continue`` under a thread-dependent guard lets
-        threads leave ``loop`` at different iterations."""
+        """A ``break``/``continue`` of ``loop`` under a thread-dependent
+        guard lets threads leave it at different iterations.  One inside a
+        nested loop binds to that loop, so it does not count here."""
         if id(loop) not in self._exits:
             self._exits[id(loop)] = False
             for s in statements_in(loop):
                 if not isinstance(s, (BreakStmt, ContinueStmt)):
                     continue
                 path = path_to_stmt(loop, s)
+                if any(isinstance(node, (ForStmt, WhileStmt, DoWhileStmt))
+                       for node in path[1:-1]):
+                    continue
                 if any(isinstance(node, IfStmt) and self.guard(node, child)
                        for node, child in zip(path, path[1:])):
                     self._exits[id(loop)] = True
@@ -478,7 +616,7 @@ class _Collector:
             return (ps.root, "global",
                     ps.offset + analyze_expr(indexes[0], env))
         if not (isinstance(base, Ident) and base.name in self.local_arrays):
-            self.blind.append(_line_of(node.loc))
+            self.blind.append(line_of(node.loc))
         return None
 
     def visit(self, site_expr: Expr) -> None:
@@ -505,7 +643,7 @@ class _Collector:
         for node in walk_expr(site_expr):
             if isinstance(node, UnaryOp) and node.op == "*":
                 self.unplaced = True
-                self.blind.append(_line_of(node.loc))
+                self.blind.append(line_of(node.loc))
             if not isinstance(node, ArrayRef) or id(node) in inner:
                 continue
             ref = self._resolve(node, env)
@@ -513,7 +651,7 @@ class _Collector:
                 self.unplaced = True
                 continue
             array, space, form = ref
-            line = _line_of(node.loc)
+            line = line_of(node.loc)
             if id(node) in atomics:
                 self.out.append((array, space, form, True, True, True, line))
             elif id(node) in writes:

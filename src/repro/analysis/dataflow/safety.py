@@ -38,9 +38,7 @@ entirely (:mod:`repro.transform.pipeline`).
 
 The same machinery powers the ``catt lint`` CLI findings: irregular
 indexes, fully diverged references (``REQ_warp = 32``), divergent barriers
-(the classifier of check 2) and shared-memory race verdicts.  The range
-helpers here (:func:`cond_always_true`, :func:`cond_tb_uniform`) are the
-race analysis's guard predicates.
+(the classifier of check 2) and shared-memory race verdicts.
 """
 
 from __future__ import annotations
@@ -65,22 +63,8 @@ from ...frontend.ast_nodes import (
     SyncthreadsStmt,
     WhileStmt,
     statements_in,
-    walk_expr,
 )
-from ..affine import (
-    BIDX,
-    BIDY,
-    BIDZ,
-    TIDX,
-    TIDY,
-    TIDZ,
-    AffineForm,
-    SymbolicEnv,
-    analyze_expr,
-)
-
-_THREAD_AXES = {TIDX: 0, TIDY: 1, TIDZ: 2}
-_BLOCK_AXES = {BIDX: 0, BIDY: 1, BIDZ: 2}
+from . import races
 
 
 @dataclass(frozen=True)
@@ -125,121 +109,6 @@ class LintFinding:
 
 
 # ---------------------------------------------------------------------------
-# Value-range analysis over affine forms
-# ---------------------------------------------------------------------------
-
-
-def form_range(
-    form: AffineForm,
-    block_dim: tuple[int, int, int] | None,
-    grid_dim: tuple[int, int, int] | None,
-    trips: dict[str, int] | None = None,
-) -> tuple[int, int] | None:
-    """Inclusive [lo, hi] of ``form`` over every thread of every block.
-
-    Thread symbols range over ``[0, blockDim-1]``, block symbols over
-    ``[0, gridDim-1]``, loop iterators over ``[0, trips[name]-1]``.  Any
-    other symbol (params, unknown iterators) or an irregular form defeats
-    the range — returns None.
-    """
-    if form.irregular:
-        return None
-    lo = hi = form.const
-    for sym, c in form.coeffs:
-        if sym in _THREAD_AXES:
-            if block_dim is None:
-                return None
-            span = block_dim[_THREAD_AXES[sym]] - 1
-        elif sym in _BLOCK_AXES:
-            if grid_dim is None:
-                return None
-            span = grid_dim[_BLOCK_AXES[sym]] - 1
-        elif trips is not None and sym in trips:
-            span = trips[sym] - 1
-        else:
-            return None
-        if span < 0:
-            span = 0
-        if c >= 0:
-            hi += c * span
-        else:
-            lo += c * span
-    return lo, hi
-
-
-def _sides(cond: Expr) -> tuple[Expr, Expr, str] | None:
-    if isinstance(cond, BinOp) and cond.op in ("<", "<=", ">", ">=",
-                                               "==", "!="):
-        return cond.left, cond.right, cond.op
-    return None
-
-
-def cond_always_true(
-    cond: Expr,
-    env: SymbolicEnv,
-    block_dim: tuple[int, int, int] | None,
-    grid_dim: tuple[int, int, int] | None,
-    trips: dict[str, int] | None = None,
-) -> bool:
-    """Prove ``cond`` holds for every thread of every launched block.
-
-    Handles ``&&`` conjunctions of order comparisons whose ``left - right``
-    range is conclusive; anything else is "not provable" (False).
-    """
-    if isinstance(cond, BinOp) and cond.op == "&&":
-        return (cond_always_true(cond.left, env, block_dim, grid_dim, trips)
-                and cond_always_true(cond.right, env, block_dim, grid_dim,
-                                     trips))
-    parts = _sides(cond)
-    if parts is None:
-        return False
-    left, right, op = parts
-    diff = analyze_expr(left, env) - analyze_expr(right, env)
-    rng = form_range(diff, block_dim, grid_dim, trips)
-    if rng is None:
-        return False
-    lo, hi = rng
-    if op == "<":
-        return hi < 0
-    if op == "<=":
-        return hi <= 0
-    if op == ">":
-        return lo > 0
-    if op == ">=":
-        return lo >= 0
-    return False  # ==, != : no useful proof from a range
-
-
-def cond_tb_uniform(cond: Expr, env: SymbolicEnv) -> bool:
-    """True when every thread of a TB evaluates ``cond`` identically —
-    i.e. no thread symbol (and nothing irregular) feeds the comparison."""
-    for node in walk_expr(cond):
-        if isinstance(node, (Assign,)):
-            return False
-    for side in _cond_leaves(cond):
-        form = analyze_expr(side, env)
-        if form.irregular:
-            return False
-        if any(sym in _THREAD_AXES for sym in form.symbols()):
-            return False
-    return True
-
-
-def _cond_leaves(cond: Expr):
-    """Comparison operands under a boolean combinator tree."""
-    if isinstance(cond, BinOp) and cond.op in ("&&", "||"):
-        yield from _cond_leaves(cond.left)
-        yield from _cond_leaves(cond.right)
-        return
-    parts = _sides(cond)
-    if parts is not None:
-        yield parts[0]
-        yield parts[1]
-    else:
-        yield cond
-
-
-# ---------------------------------------------------------------------------
 # Semantic legality of one warp split
 # ---------------------------------------------------------------------------
 
@@ -252,8 +121,6 @@ def verify_warp_split(analysis, la) -> SafetyVerdict:
     race analysis's answers (:mod:`repro.analysis.dataflow.races`); a
     failure there propagates, so the static proof fails loudly.
     """
-    from .races import Divergence, loop_conflicts
-
     rec = la.record
     reasons: list[str] = []
 
@@ -263,13 +130,13 @@ def verify_warp_split(analysis, la) -> SafetyVerdict:
 
     # 2. Every thread of a TB reaches the barriers the split puts at the
     #    loop's position.
-    why = Divergence(analysis).why(rec.stmt)
+    why = races.Divergence(analysis).why(rec.stmt)
     if why is not None:
         reasons.append(f"the split's barriers would sit {why[0]}")
 
     # 3-4. No two threads of a TB communicate through the loop, so the
     #    warp groups may run it in any order.
-    reasons.extend(loop_conflicts(analysis, rec.stmt))
+    reasons.extend(races.loop_conflicts(analysis, rec.stmt))
     return SafetyVerdict(not reasons, tuple(reasons))
 
 
@@ -450,10 +317,6 @@ def verify_transform_static(analysis, record,
 # ---------------------------------------------------------------------------
 
 
-def _line_of(loc) -> int | None:
-    return getattr(loc, "line", None)
-
-
 def findings_for_analysis(analysis) -> list[LintFinding]:
     """Per-access and whole-kernel findings for one analyzed launch."""
     from ...transform.diagnostics import (
@@ -470,7 +333,7 @@ def findings_for_analysis(analysis) -> list[LintFinding]:
             acc = af.locality.access
             if acc.loop_id != la.record.loop_id:
                 continue  # report each access under its innermost loop only
-            key = (acc.array, acc.key(), _line_of(acc.loc))
+            key = (acc.array, acc.key(), races.line_of(acc.loc))
             if key in seen:
                 continue
             seen.add(key)
@@ -480,23 +343,21 @@ def findings_for_analysis(analysis) -> list[LintFinding]:
                     f"data-dependent index into {acc.array!r}; conservative "
                     f"C_tid=1 assumed",
                     array=acc.array, loop_id=la.record.loop_id,
-                    line=_line_of(acc.loc)))
+                    line=races.line_of(acc.loc)))
             elif af.req_warp >= 32:
                 out.append(LintFinding(
                     W_UNCOALESCED, name,
                     f"reference to {acc.array!r} is fully diverged "
                     f"(REQ_warp={af.req_warp})",
                     array=acc.array, loop_id=la.record.loop_id,
-                    line=_line_of(acc.loc)))
+                    line=races.line_of(acc.loc)))
     out.extend(_barrier_findings(analysis, E_DIVERGENT_BARRIER))
     out.extend(_race_findings(analysis))
     return out
 
 
 def _barrier_findings(analysis, code: str) -> list[LintFinding]:
-    from .races import Divergence
-
-    divergence = Divergence(analysis)
+    divergence = races.Divergence(analysis)
     out: list[LintFinding] = []
     for stmt in statements_in(analysis.kernel.body):
         if not isinstance(stmt, SyncthreadsStmt):
@@ -505,7 +366,7 @@ def _barrier_findings(analysis, code: str) -> list[LintFinding]:
         if why is not None:
             out.append(LintFinding(
                 code, analysis.kernel.name, f"__syncthreads() {why[0]}",
-                loop_id=why[1], line=_line_of(stmt.loc)))
+                loop_id=why[1], line=races.line_of(stmt.loc)))
     return out
 
 
@@ -521,25 +382,23 @@ def _race_findings(analysis) -> list[LintFinding]:
         E_PROVED_RACE,
         W_RACE_UNKNOWN,
     )
-    from .races import PROVED_RACE, UNKNOWN, analyze_races
-
     if not analysis.kernel_loops.shared_arrays:
         return []
     try:
-        report = analyze_races(analysis)
+        report = races.analyze_races(analysis)
     except Exception as exc:
         return [LintFinding(E_ANALYSIS, analysis.kernel.name,
                             f"race analysis failed: {exc!r}")]
     out: list[LintFinding] = []
     for v in report.for_space("shared"):
         line = v.lines[0] if v.lines else None
-        if v.verdict == PROVED_RACE:
+        if v.verdict == races.PROVED_RACE:
             out.append(LintFinding(
                 E_PROVED_RACE, analysis.kernel.name,
                 f"__shared__ array {v.array!r} provably races in barrier "
                 f"interval #{v.interval}: {v.reason}",
                 array=v.array, line=line))
-        elif v.verdict == UNKNOWN:
+        elif v.verdict == races.UNKNOWN:
             out.append(LintFinding(
                 W_RACE_UNKNOWN, analysis.kernel.name,
                 f"__shared__ array {v.array!r} unclassified in barrier "

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import BudgetExceededError
 from ..frontend.ast_nodes import FunctionDef, TranslationUnit
 from ..memo import Memo
 from ..sim.arch import KB, GPUSpec, as_dim3
@@ -19,7 +18,7 @@ from .footprint import LoopFootprint, loop_footprint
 from .locality import AccessLocality, classify_loop, loop_has_reuse
 from .loops import KernelLoops, LoopRecord, find_loops
 from .occupancy import OccupancyResult, compute_occupancy, estimate_registers, shared_usage_bytes
-from .throttle import SearchBudget, ThrottleDecision, find_throttle
+from .throttle import ThrottleDecision, find_throttle
 
 MAX_SHARED_PER_TB = 96 * KB  # Volta per-TB shared memory limit
 
@@ -96,11 +95,6 @@ class KernelAnalysis:
     kernel_loops: KernelLoops
     spec: GPUSpec
     block_dim: tuple[int, int, int]
-    budget_exhausted_loops: tuple[int, ...] = ()
-
-    @property
-    def budget_exhausted(self) -> bool:
-        return bool(self.budget_exhausted_loops)
 
     @property
     def tb_m(self) -> int:
@@ -134,36 +128,28 @@ def analyze_kernel(
     spec: GPUSpec,
     grid=None,
     irregular_req: int = 1,
-    budget: SearchBudget | None = None,
 ) -> KernelAnalysis:
     """Run the full CATT static analysis for one kernel + launch config.
 
     ``irregular_req`` overrides the conservative per-warp request count for
     data-dependent accesses (§4.2 uses 1; the A2 ablation uses 32).
-    ``budget`` caps the throttle search; a loop whose search runs out of
-    budget degrades to "left untouched" (the paper's CORR posture) with
-    ``budget_exhausted`` set on the analysis.
 
-    Memoized (a bounded LRU) on the kernel's content and the launch; a call
-    with a ``budget`` always analyses afresh, since it spends the budget.
+    Memoized (a bounded LRU) on the kernel's content and the launch.
     """
     kernel = unit.kernel(kernel_name)
     block3 = as_dim3(block)
     grid3 = as_dim3(grid) if grid is not None else None
-    if budget is not None:
-        return _analyze(kernel, block3, grid3, spec, irregular_req, budget)
     key = (kernel, block3, grid3, spec, irregular_req)
     analysis = analysis_memo.get(key)
     if analysis is None:
-        analysis = _analyze(kernel, block3, grid3, spec, irregular_req, None)
+        analysis = _analyze(kernel, block3, grid3, spec, irregular_req)
         analysis_memo.put(key, analysis)
     return analysis
 
 
 def _analyze(kernel: FunctionDef, block3: tuple[int, int, int],
              grid3: tuple[int, int, int] | None, spec: GPUSpec,
-             irregular_req: int,
-             budget: SearchBudget | None) -> KernelAnalysis:
+             irregular_req: int) -> KernelAnalysis:
     from ..obs.trace import span
 
     kernel_name = kernel.name
@@ -201,7 +187,6 @@ def _analyze(kernel: FunctionDef, block3: tuple[int, int, int],
         return plan.l1d_bytes // line
 
     analyses: list[LoopAnalysis] = []
-    budget_hit: list[int] = []
     loops_by_id = {l.loop_id: l for l in kernel_loops.loops}
     for rec in kernel_loops.loops:
         with span("analysis.footprint", kernel=kernel_name,
@@ -216,21 +201,7 @@ def _analyze(kernel: FunctionDef, block3: tuple[int, int, int],
         with span("analysis.throttle", kernel=kernel_name,
                   loop=rec.loop_id) as sp:
             if reuse and localities:
-                try:
-                    decision = find_throttle(
-                        fp, l1d_lines_for_tbs, budget=budget
-                    )
-                except BudgetExceededError:
-                    # Out of search budget: leave the loop untouched, like
-                    # the CORR case — never half-apply a throttling decision.
-                    budget_hit.append(rec.loop_id)
-                    sp.set(budget_exhausted=True)
-                    decision = ThrottleDecision(
-                        loop_id=rec.loop_id, n=1, m=0,
-                        warps_per_tb=occ.warps_per_tb, tb_sm=occ.tb_sm,
-                        size_req_lines=fp.size_req_lines,
-                        l1d_lines=l1d_lines_base, fits=False, needed=True,
-                    )
+                decision = find_throttle(fp, l1d_lines_for_tbs)
             else:
                 # No reuse to protect (or no off-chip accesses): never
                 # throttle.
@@ -252,5 +223,4 @@ def _analyze(kernel: FunctionDef, block3: tuple[int, int, int],
         kernel_loops=kernel_loops,
         spec=spec,
         block_dim=block3,
-        budget_exhausted_loops=tuple(budget_hit),
     )

@@ -95,6 +95,5 @@ def analysis_summary(analysis: KernelAnalysis) -> dict:
             "l1d_bytes": occ.l1d_bytes,
         },
         "tb_m": analysis.tb_m,
-        "budget_exhausted_loops": list(analysis.budget_exhausted_loops),
         "loops": loops,
     }

@@ -18,54 +18,10 @@ Rules from the paper:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import BudgetExceededError
 from .footprint import LoopFootprint
-
-
-@dataclass
-class SearchBudget:
-    """Caps on the throttling-factor search: wall clock and candidate count.
-
-    The resilient driver (:mod:`repro.transform.pipeline`) threads one budget
-    through a whole translation unit; when it runs out mid-search the current
-    loop degrades to "left untouched" (exactly the paper's CORR posture) and
-    the remaining kernels pass through with a ``CATT-W-BUDGET`` diagnostic —
-    partial results instead of an unbounded compile.
-    """
-
-    wall_seconds: float | None = None
-    max_candidates: int | None = None
-    candidates_used: int = 0
-    _deadline: float | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.wall_seconds is not None:
-            self._deadline = time.perf_counter() + self.wall_seconds
-
-    @property
-    def expired(self) -> bool:
-        if self._deadline is not None and time.perf_counter() > self._deadline:
-            return True
-        return (self.max_candidates is not None
-                and self.candidates_used >= self.max_candidates)
-
-    def charge(self, candidates: int = 1) -> None:
-        """Consume ``candidates`` evaluations; raise when the budget is gone.
-
-        The expiry check runs *before* the increment: callers charge ahead
-        of each evaluation, so ``max_candidates=N`` admits exactly N
-        evaluations and the (N+1)th charge raises with ``candidates_used``
-        still reporting the N that actually ran.
-        """
-        if self.expired:
-            raise BudgetExceededError(
-                f"throttle-search budget exhausted after "
-                f"{self.candidates_used} candidates")
-        self.candidates_used += candidates
 
 
 @dataclass(frozen=True)
@@ -120,15 +76,13 @@ def candidate_ns(warps_per_tb: int) -> list[int]:
 def find_throttle(
     footprint: LoopFootprint,
     l1d_lines_for_tbs: Callable[[int], int],
-    budget: SearchBudget | None = None,
 ) -> ThrottleDecision:
     """Resolve Eq. 9 for one loop.
 
     ``l1d_lines_for_tbs(tbs)`` returns the L1D capacity (in lines) available
     when ``tbs`` TBs are resident — constant for warp-level candidates
     (``tbs = tb_sm``), and accounting for the dummy-shared carveout cost for
-    TB-level candidates.  ``budget`` (optional) caps the number of candidate
-    evaluations; exhaustion raises :class:`repro.errors.BudgetExceededError`.
+    TB-level candidates.
     """
     warps, tbs0 = footprint.warps_per_tb, footprint.tb_sm
     cap0 = l1d_lines_for_tbs(tbs0)
@@ -149,16 +103,12 @@ def find_throttle(
                                 needed=False, **common)
     # Phase 1 — warp-level throttling only (M = 0).
     for n in candidate_ns(warps):
-        if budget is not None:
-            budget.charge()
         if footprint.throttled_lines(n, 0) <= cap0:
             return ThrottleDecision(n=n, m=0, l1d_lines=cap0, fits=True,
                                     needed=True, **common)
     # Phase 2 — add TB-level throttling with N at its maximum.
     n_max = candidate_ns(warps)[-1]
     for m in range(1, tbs0):
-        if budget is not None:
-            budget.charge()
         cap = l1d_lines_for_tbs(tbs0 - m)
         if footprint.throttled_lines(n_max, m) <= cap:
             return ThrottleDecision(n=n_max, m=m, l1d_lines=cap, fits=True,

@@ -10,11 +10,9 @@ anything.  Reuse survives; streams stop polluting.
 
 The mechanism lives in the simulator
 (:class:`~repro.sim.cache.AggregatedTagArray` + the ATA load path in the
-event loop behind :meth:`~repro.sim.sm.SMEngine.step`) and is selectable
-either per launch
-(``l1_ata=True``) or process-wide via
-:class:`~repro.options.SimOptions(l1_ata=True)`; the directory reach comes
-from ``GPUSpec.ata_tag_factor`` and the remote-hit cost from
+event loop behind :meth:`~repro.sim.sm.SMEngine.step`) and is selected per
+launch (``l1_ata=True``); the directory reach comes from
+``GPUSpec.ata_tag_factor`` and the remote-hit cost from
 ``TimingModel.l1_remote_latency``.  This module is the thin baseline
 runner the comparison experiments call.
 """

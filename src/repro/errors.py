@@ -10,12 +10,9 @@ Hierarchy::
 
     CattError
     ├── AnalysisError
-    │   ├── ThrottleSearchError (also ValueError)
-    │   └── BudgetExceededError
-    ├── TransformError
-    │   ├── WarpSplitError      (also ValueError)
-    │   └── TBThrottleError     (also ValueError)
-    └── ValidationError
+    │   └── ThrottleSearchError (also ValueError)
+    └── TransformError
+        └── WarpSplitError      (also ValueError)
 
 The ``ValueError`` mixins keep historical call sites working: code written
 against the old blanket ``raise ValueError`` / ``except ValueError`` contracts
@@ -26,14 +23,7 @@ from __future__ import annotations
 
 
 class CattError(Exception):
-    """Base class for all CATT analysis/transform diagnostics.
-
-    ``stage`` names the pipeline stage the error belongs to — the resilient
-    driver copies it into the structured :class:`~repro.transform.diagnostics.
-    Diagnostic` record.
-    """
-
-    stage: str = "compile"
+    """Base class for all CATT analysis/transform diagnostics."""
 
     def __init__(self, message: str, *, kernel: str | None = None,
                  loop_id: int | None = None):
@@ -45,8 +35,6 @@ class CattError(Exception):
 class AnalysisError(CattError):
     """The static analysis (§4.1–§4.2) could not complete."""
 
-    stage = "analysis"
-
 
 class ThrottleSearchError(AnalysisError, ValueError):
     """The throttling-factor search (Eq. 9) was handed an invalid or
@@ -54,28 +42,11 @@ class ThrottleSearchError(AnalysisError, ValueError):
     or an ``M`` that leaves no resident TBs."""
 
 
-class BudgetExceededError(AnalysisError):
-    """An analysis/search budget (wall clock or candidate count) ran out."""
-
-    stage = "budget"
-
-
 class TransformError(CattError):
     """A source-to-source transformation (§4.3) could not be applied."""
-
-    stage = "transform"
 
 
 class WarpSplitError(TransformError, ValueError):
     """The Fig.-4 warp-group split was impossible for this loop (factor does
     not divide the warp count, or the loop vanished under a prior rewrite)."""
 
-
-class TBThrottleError(TransformError, ValueError):
-    """The Fig.-5 dummy-shared insertion could not express the TB limit."""
-
-
-class ValidationError(CattError):
-    """The differential validation gate rejected a transformed kernel."""
-
-    stage = "validate"

@@ -75,9 +75,6 @@ class AppResult:
     # ATA remote hits, ...) — whatever the scheme's mechanism reports.
     extras: dict = field(default_factory=dict)
 
-    def speedup_vs(self, other: "AppResult") -> float:
-        return other.total_cycles / self.total_cycles if self.total_cycles else 0.0
-
 
 def geomean(values: list[float]) -> float:
     vals = [v for v in values if v > 0]

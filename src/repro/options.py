@@ -40,10 +40,6 @@ class SimOptions:
     # Shadow-memory race sanitizer: record per-word last accessors and report
     # conflicting same-barrier-epoch accesses from distinct threads of a TB.
     sanitize: bool = False
-    # ATA-Cache mode: run every launch's L1(s) behind one aggregated tag
-    # array (allocate-on-second-touch; peer-L1 remote hits at sms > 1).
-    # Changes simulated timing, so it participates in the cache signature.
-    l1_ata: bool = False
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -61,7 +57,7 @@ class SimOptions:
     #: where they are stored).  Only these participate in :meth:`signature`;
     #: engine/dedup/jobs are deliberately excluded because CI asserts cache
     #: byte-identity across engines and job counts.
-    IDENTITY_FIELDS = ("sms", "l1_ata")
+    IDENTITY_FIELDS = ("sms",)
 
     def signature(self) -> str:
         """Canonical configuration identity for result-cache keys.
@@ -89,7 +85,6 @@ class SimOptions:
             "metrics": self.metrics,
             "sms": self.sms,
             "sanitize": self.sanitize,
-            "l1_ata": self.l1_ata,
         }
 
 

@@ -191,12 +191,6 @@ class PTXKernel:
     def instructions(self) -> list[Instr]:
         return [i for i in self.body if isinstance(i, Instr)]
 
-    def loads_stores(self, space: str = "global") -> list[Instr]:
-        return [
-            i for i in self.instructions()
-            if i.opcode in (f"ld.{space}", f"st.{space}")
-        ]
-
 
 @dataclass
 class PTXModule:
@@ -214,9 +208,3 @@ class PTXModule:
             if k.name == name:
                 return k
         raise KeyError(f"no PTX kernel {name!r}")
-
-
-def _float_hex(value: float) -> str:  # pragma: no cover - unused formatting aid
-    import struct
-
-    return struct.pack(">f", value).hex().upper()

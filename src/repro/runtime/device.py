@@ -57,7 +57,7 @@ class Device:
         governor=None,
         governor_period: int = 256,
         l1_bypass: bool = False,
-        l1_ata: bool | None = None,
+        l1_ata: bool = False,
         shared_bytes: int = 0,
         sms: int | None = None,
     ) -> LaunchResult:

@@ -329,7 +329,7 @@ def _launch_kernel(
     governor=None,
     governor_period: int = 256,
     l1_bypass: bool = False,
-    l1_ata: bool | None = None,
+    l1_ata: bool = False,
     shared_bytes: int = 0,
     sms: int | None = None,
 ) -> tuple[LaunchResult, str]:
@@ -341,8 +341,6 @@ def _launch_kernel(
     opts = current_options()
     if sms is None:
         sms = opts.sms
-    if l1_ata is None:
-        l1_ata = opts.l1_ata
 
     kernel = unit.kernel(kernel_name)
     grid3, block3 = as_dim3(grid), as_dim3(block)

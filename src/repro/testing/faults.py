@@ -189,10 +189,6 @@ def mangle_write(stage: str, site: str, payload: bytes) -> bytes:
     return _ACTIVE.mangle(stage, site, payload)
 
 
-def active_injector() -> FaultInjector | None:
-    return _ACTIVE
-
-
 @contextmanager
 def inject_faults(*specs: FaultSpec, seed: int | None = None,
                   rate: float = 0.0):

@@ -16,16 +16,12 @@ CATT-E-FRONTEND            error     kernel missing / outside the CUDA subset
 CATT-E-ANALYSIS            error     static analysis crashed; kernel untouched
 CATT-E-TRANSFORM           error     a rewrite failed; loop/kernel untouched
 CATT-E-SIM                 error     simulation of an (app, scheme) cell failed
-CATT-E-INTERNAL            error     unexpected exception (a real bug — report)
 CATT-E-DIVERGENT-BARRIER   error     __syncthreads() under a thread-dependent
                                      guard or bound (UB on hardware)
-CATT-E-SHARED-RACE         error     (retired) source-order shared-race
-                                     heuristic; kept for baseline compat
 CATT-E-PROVED-RACE         error     barrier-interval analysis proved a
                                      cross-thread shared-memory race
 CATT-W-RACE-UNKNOWN        warning   a shared (array, interval) pair could not
                                      be classified safe or racy
-CATT-W-BUDGET              warning   analysis budget exhausted; partial results
 CATT-W-REVERTED            warning   validation gate reverted a transform
 CATT-W-STATIC-PROOF        warning   static safety proof crashed; the
                                      differential gate decides instead
@@ -47,21 +43,18 @@ SEV_ERROR = "error"
 SEV_WARNING = "warning"
 SEV_INFO = "info"
 
-# Stages, in pipeline order.  "budget" and "validate" are driver-internal
-# stages; the four fault-injection boundaries are frontend/analysis/
-# transform/sim (:mod:`repro.testing.faults`).
-STAGES = ("frontend", "analysis", "transform", "validate", "sim", "budget")
+# Stages, in pipeline order.  "validate" is a driver-internal stage; the
+# four fault-injection boundaries are frontend/analysis/transform/sim
+# (:mod:`repro.testing.faults`).
+STAGES = ("frontend", "analysis", "transform", "validate", "sim")
 
 E_FRONTEND = "CATT-E-FRONTEND"
 E_ANALYSIS = "CATT-E-ANALYSIS"
 E_TRANSFORM = "CATT-E-TRANSFORM"
 E_SIM = "CATT-E-SIM"
-E_INTERNAL = "CATT-E-INTERNAL"
 E_DIVERGENT_BARRIER = "CATT-E-DIVERGENT-BARRIER"
-E_SHARED_RACE = "CATT-E-SHARED-RACE"   # retired; see E_PROVED_RACE
 E_PROVED_RACE = "CATT-E-PROVED-RACE"
 W_RACE_UNKNOWN = "CATT-W-RACE-UNKNOWN"
-W_BUDGET = "CATT-W-BUDGET"
 W_REVERTED = "CATT-W-REVERTED"
 W_STATIC_PROOF = "CATT-W-STATIC-PROOF"
 W_IRREGULAR_INDEX = "CATT-W-IRREGULAR-INDEX"

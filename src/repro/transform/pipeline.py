@@ -24,8 +24,7 @@ kernel (or loop) to its untransformed form and is recorded as a structured
 ``CattCompilation.diagnostics`` — one bad kernel can no longer abort a
 translation unit or an experiment sweep.  ``validate=True`` additionally runs
 every transformed kernel through the differential gate
-(:mod:`repro.transform.validate`) and reverts provably unsafe transforms.
-``budget`` caps analysis cost with partial-result degradation.  See
+(:mod:`repro.transform.validate`) and reverts provably unsafe transforms.  See
 docs/ROBUSTNESS.md for the full degradation-mode catalogue.
 """
 
@@ -43,7 +42,7 @@ from ..analysis.kernel_info import (
 )
 from ..analysis.loops import loop_statements
 from ..analysis.occupancy import shared_usage_bytes
-from ..analysis.throttle import SearchBudget, candidate_ns
+from ..analysis.throttle import candidate_ns
 from ..errors import ThrottleSearchError, WarpSplitError
 from ..frontend.ast_nodes import FunctionDef, TranslationUnit
 from ..frontend.errors import FrontendError
@@ -58,7 +57,6 @@ from .diagnostics import (
     I_SKIP_LOOP,
     I_STATIC_SAFE,
     I_VALIDATE_SKIP,
-    W_BUDGET,
     W_REVERTED,
     W_STATIC_PROOF,
     DiagnosticLog,
@@ -118,9 +116,6 @@ class CattCompilation:
     transforms: dict[str, KernelTransform]
     diagnostics: DiagnosticLog = field(default_factory=DiagnosticLog)
 
-    def transform_for(self, kernel_name: str) -> KernelTransform:
-        return self.transforms[kernel_name]
-
     @property
     def ok(self) -> bool:
         """True when no kernel degraded with an error-severity diagnostic."""
@@ -154,8 +149,6 @@ def catt_compile(
     irregular_req: int = 1,
     resilient: bool = True,
     validate: bool = False,
-    budget: SearchBudget | None = None,
-    validate_seed: int = 0,
 ) -> CattCompilation:
     """Compile every kernel in ``launches`` (name -> (grid, block)) with CATT.
 
@@ -169,16 +162,13 @@ def catt_compile(
     failing kernel passes through untransformed with a structured diagnostic
     instead of aborting the unit (pass ``False`` to re-raise, for debugging).
     ``validate`` runs every transformed kernel through the differential gate
-    and reverts divergent/deadlocking transforms.  ``budget`` bounds the
-    throttle search (wall clock + candidate count); on exhaustion the
-    remaining work degrades to pass-through with ``CATT-W-BUDGET`` records.
+    and reverts divergent/deadlocking transforms.
     """
     with _span("transform.pipeline", kernels=len(launches),
                validate=validate, tiling=enable_tiling) as sp:
         comp = _catt_compile(
             unit, launches, spec, enable_tiling, irregular_req, resilient,
-            validate, budget, validate_seed,
-        )
+            validate)
         sp.set(
             transformed=sum(1 for t in comp.transforms.values()
                             if t.transformed),
@@ -186,9 +176,6 @@ def catt_compile(
             diagnostics=len(comp.diagnostics.records),
             errors=len(comp.diagnostics.errors),
         )
-        if budget is not None:
-            sp.set(budget_candidates=budget.candidates_used,
-                   budget_expired=budget.expired)
         return comp
 
 
@@ -200,8 +187,6 @@ def _catt_compile(
     irregular_req: int,
     resilient: bool,
     validate: bool,
-    budget: SearchBudget | None,
-    validate_seed: int,
 ) -> CattCompilation:
     from .tiling import try_tile_unresolvable
 
@@ -210,13 +195,6 @@ def _catt_compile(
     transforms: dict[str, KernelTransform] = {}
     for name, (grid, block) in launches.items():
         t0 = time.perf_counter()
-
-        if budget is not None and budget.expired:
-            log.emit(W_BUDGET, "budget",
-                     "compile budget exhausted before this kernel; it passes "
-                     "through untransformed", kernel=name)
-            transforms[name] = KernelTransform(name, None)
-            continue
 
         # -- stage: frontend (kernel lookup) -----------------------------
         try:
@@ -236,8 +214,7 @@ def _catt_compile(
             with _span("transform.analysis", kernel=name) as asp:
                 check_fault("analysis", name)
                 analysis = analyze_kernel(out, name, block, spec, grid=grid,
-                                          irregular_req=irregular_req,
-                                          budget=budget)
+                                          irregular_req=irregular_req)
                 asp.set(loops=len(analysis.loops),
                         throttled=len(analysis.throttled_loops))
         except Exception as exc:
@@ -249,11 +226,6 @@ def _catt_compile(
                      elapsed=time.perf_counter() - t0, exc=exc)
             transforms[name] = KernelTransform(name, None)
             continue
-        if analysis.budget_exhausted:
-            log.emit(W_BUDGET, "budget",
-                     f"throttle-search budget ran out; loops "
-                     f"{list(analysis.budget_exhausted_loops)} left untouched",
-                     kernel=name)
 
         record = KernelTransform(name, analysis)
 
@@ -400,9 +372,7 @@ def _catt_compile(
                     continue
                 try:
                     report = differential_validate(
-                        out, with_function(out, kernel), name, grid, block,
-                        seed=validate_seed,
-                    )
+                        out, with_function(out, kernel), name, grid, block)
                 except Exception as exc:
                     if not resilient:
                         raise

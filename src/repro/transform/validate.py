@@ -33,13 +33,13 @@ allowance per warp slot for the copies' guards and barriers, capped at
 ``max_events``), and a runaway transform ends after about as much work as
 the original did rather than after ``max_events`` trips.
 
-Inputs are synthesized deterministically from a seed: pointer parameters get
-small random arrays, scalar parameters get fixed small values.  Unmapped
-guard gaps separate the arrays, so a kernel that indexes past its buffer
-faults instead of reading or writing its neighbour.  When the *original*
-faults, the buffers grow ×8 and the run retries; a kernel that still cannot
-run makes the run inconclusive, and the transform is kept with a
-``CATT-I-VALIDATE-SKIP`` diagnostic (the gate refuses to guess).
+Inputs are synthesized deterministically from a fixed seed: pointer
+parameters get small random arrays, scalar parameters get fixed small
+values.  Unmapped guard gaps separate the arrays, so a kernel that indexes
+past its buffer faults instead of reading or writing its neighbour.  When
+the *original* faults, the buffers grow ×8 and the run retries; a kernel
+that still cannot run makes the run inconclusive, and the transform is kept
+with a ``CATT-I-VALIDATE-SKIP`` diagnostic (the gate refuses to guess).
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ def synthesize_inputs(
     kernel: FunctionDef,
     grid,
     block,
-    seed: int = 0,
     elems: int | None = None,
 ) -> tuple[list, dict[str, np.ndarray]]:
     """Deterministic launch arguments for a validation run.
@@ -138,7 +137,7 @@ def synthesize_inputs(
                * block3[0] * block3[1] * block3[2])
     if elems is None:
         elems = int(max(4096, min(threads * 16, 1 << 18)))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     values: list = []
     arrays: dict[str, np.ndarray] = {}
     for param in kernel.params:
@@ -286,7 +285,6 @@ def differential_validate(
     kernel_name: str,
     grid,
     block,
-    seed: int = 0,
     max_tbs: int = 4,
     max_events: int = 2_000_000,
 ) -> ValidationReport:
@@ -315,8 +313,7 @@ def differential_validate(
     base = None
     elems = None
     for _ in range(4):
-        scalars, arrays = synthesize_inputs(kernel, grid, block, seed=seed,
-                                            elems=elems)
+        scalars, arrays = synthesize_inputs(kernel, grid, block, elems=elems)
         elems = 8 * len(next(iter(arrays.values()))) if arrays else None
         try:
             check_fault("sim", f"validate:{kernel_name}")

@@ -2,15 +2,15 @@
 
 Equal kernels share one analysis, so its loop statements may belong to
 another caller's kernel: transforms resolve each ``loop_id`` in their own
-kernel (``loop_statements``).  Budgeted calls analyse afresh, and the
-§5.1.4 overhead table always times a fresh analysis."""
+kernel (``loop_statements``).  The §5.1.4 overhead table always times a
+fresh analysis."""
 
 import dataclasses
 import hashlib
 
 import pytest
 
-from repro.analysis import SearchBudget, analyze_kernel, find_loops
+from repro.analysis import analyze_kernel, find_loops
 from repro.analysis.loops import loop_statements
 from repro.analysis.throttle import candidate_ns
 from repro.experiments.common import SPECS
@@ -213,17 +213,6 @@ def test_request_order_does_not_change_the_records():
     assert _compile_records(requests[::-1]) == forward
     assert any(splits for _, _, kernels, _ in forward
                for _, splits, _, _ in kernels)
-
-
-def test_budgeted_call_bypasses_the_memo(atax_src, counters):
-    unit = parse(atax_src)
-    cached = analyze_kernel(unit, "atax_kernel1", 256, TITAN_V_SIM, grid=2)
-    budgeted = analyze_kernel(unit, "atax_kernel1", 256, TITAN_V_SIM, grid=2,
-                              budget=SearchBudget(max_candidates=1))
-    assert budgeted is not cached
-    assert analyze_kernel(unit, "atax_kernel1", 256, TITAN_V_SIM,
-                          grid=2) is cached
-    assert (counters("misses"), counters("hits")) == (1, 1)
 
 
 def test_overhead_table_times_fresh_analyses(counters):

@@ -5,11 +5,15 @@ import pytest
 
 from repro.analysis import analyze_kernel
 from repro.analysis.affine import BIDX, TIDX, AffineForm, SymbolicEnv
-from repro.analysis.dataflow.safety import (
+from repro.analysis.dataflow.races import (
+    PROVED_SAFE,
+    analyze_races,
     cond_always_true,
     cond_tb_uniform,
-    findings_for_analysis,
     form_range,
+)
+from repro.analysis.dataflow.safety import (
+    findings_for_analysis,
     split_shape_matches,
     verify_warp_split,
 )
@@ -408,6 +412,42 @@ __global__ void k(float *a) {
             if f.code == E_DIVERGENT_BARRIER]
     assert [(f.loop_id, f.line) for f in hits] == [(0, 8)]
     assert "break" in hits[0].message
+
+
+_INNER_LOOPS = {
+    "for": "for (int j = 0; j < 8; j++) {{ if (t == j) {exit}; "
+           "a[t * 8 + j] += 1.0f; }}",
+    "while": "int j = -1; while (j < 7) {{ j++; if (t == j) {exit}; "
+             "a[t * 8 + j] += 1.0f; }}",
+    "do": "int j = -1; do {{ j++; if (t == j) {exit}; "
+          "a[t * 8 + j] += 1.0f; }} while (j < 7);",
+}
+
+
+@pytest.mark.parametrize("exit_stmt", ["break", "continue"])
+@pytest.mark.parametrize("inner", sorted(_INNER_LOOPS))
+def test_thread_dependent_exit_of_a_nested_loop_keeps_outer_barriers(
+        inner, exit_stmt):
+    # The guarded break/continue leaves the inner loop only; every thread
+    # still reaches both barriers of the outer loop, so they separate the
+    # write of s from its cross-thread read.
+    analysis = analysis_of(f"""
+__global__ void k(float *a) {{
+    __shared__ float s[256];
+    int t = threadIdx.x;
+    for (int i = 0; i < 4; i++) {{
+        {_INNER_LOOPS[inner].format(exit=exit_stmt)}
+        s[t] = a[t * 8 + i];
+        __syncthreads();
+        a[t * 8 + i] = s[255 - t];
+        __syncthreads();
+    }}
+}}
+""", grid=(1, 1, 1))
+    verdicts = [(v.interval, v.verdict)
+                for v in analyze_races(analysis).verdicts if v.array == "s"]
+    assert verdicts == [(0, PROVED_SAFE), (1, PROVED_SAFE)]
+    assert E_DIVERGENT_BARRIER not in _codes(analysis)
 
 
 def test_shared_race_without_barrier_proved():

@@ -3,18 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from repro.analysis.footprint import AccessFootprint, LoopFootprint
 from repro.analysis.locality import AccessLocality
 from repro.analysis.loops import MemAccess
 from repro.analysis.affine import AffineForm
-from repro.analysis.throttle import (
-    SearchBudget,
-    candidate_ns,
-    find_throttle,
-)
-from repro.errors import BudgetExceededError
+from repro.analysis.throttle import candidate_ns, find_throttle
 
 
 def make_footprint(req_per_warp_parts, warps, tbs):
@@ -129,9 +122,6 @@ def test_decision_invariants(req, warps, tbs, cap):
         assert dec.n == 1 and dec.m == 0
 
 
-# -- search budget accounting -------------------------------------------------
-
-
 def test_tb_only_decision_counts_as_throttling():
     """A (n=1, m=1) decision — the only reachable shape at 1 warp per TB —
     reduces residency by one TB and must report ``throttles``."""
@@ -142,39 +132,3 @@ def test_tb_only_decision_counts_as_throttling():
     assert (dec.n, dec.m) == (1, 1)
     assert dec.tlp == (1, 3)
     assert dec.throttles is True
-
-
-def test_budget_admits_exactly_max_candidates():
-    """``max_candidates=N`` must allow exactly N evaluations: the (N+1)th
-    charge raises, with ``candidates_used`` reporting the N that ran."""
-    fp = make_footprint([34], 16, 4)         # candidate Ns: 1,2,4,8,16
-    budget = SearchBudget(max_candidates=3)
-    with pytest.raises(BudgetExceededError, match="after 3 candidates"):
-        find_throttle(fp, const_cap(10), budget=budget)
-    assert budget.candidates_used == 3
-
-
-def test_budget_boundary_last_candidate_may_succeed():
-    """The search may spend its entire budget and still resolve: with
-    max_candidates=5 the 5th evaluation (N=16) is admitted, not rejected —
-    the off-by-one the increments-then-raise ordering used to cause."""
-    fp = make_footprint([34], 16, 4)
-    # Only N=16 fits: 34 * (16/16) * 4 = 136; N=8 gives 272 > 136.
-    budget = SearchBudget(max_candidates=5)
-    dec = find_throttle(fp, const_cap(136), budget=budget)
-    assert (dec.n, dec.m) == (16, 0)
-    assert budget.candidates_used == 5
-    # One candidate fewer and the same search is over budget.
-    with pytest.raises(BudgetExceededError, match="after 4 candidates"):
-        find_throttle(fp, const_cap(136),
-                      budget=SearchBudget(max_candidates=4))
-
-
-def test_budget_charge_after_expiry_keeps_count():
-    budget = SearchBudget(max_candidates=2)
-    budget.charge()
-    budget.charge()
-    assert budget.expired                    # expired now
-    with pytest.raises(BudgetExceededError):
-        budget.charge()
-    assert budget.candidates_used == 2       # the failed charge did not count

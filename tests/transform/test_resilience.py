@@ -1,10 +1,9 @@
-"""Resilient-driver tests: fault isolation, validation gate, budgets,
-typed force_throttle errors — the degradation paths of docs/ROBUSTNESS.md."""
+"""Resilient-driver tests: fault isolation, validation gate, typed
+force_throttle errors — the degradation paths of docs/ROBUSTNESS.md."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import SearchBudget
 from repro.errors import ThrottleSearchError, WarpSplitError
 from repro.frontend import emit, parse
 from repro.runtime import Device
@@ -16,7 +15,6 @@ from repro.transform.diagnostics import (
     E_ANALYSIS,
     E_FRONTEND,
     E_TRANSFORM,
-    W_BUDGET,
     W_REVERTED,
 )
 from repro.workloads import get_workload
@@ -262,32 +260,6 @@ def test_differential_validate_pass_and_diverge():
     assert bad.status == "diverged" and "tmp" in bad.detail
 
 
-# ---------------------------------------------------------------------------
-# Budgets
-# ---------------------------------------------------------------------------
-
-
-def test_wall_clock_budget_partial_results():
-    budget = SearchBudget(wall_seconds=0.0)
-    comp = catt_compile(parse(ATAX), LAUNCHES, TITAN_V_SIM, budget=budget)
-    # Every kernel passed through untransformed, each with a budget record.
-    assert all(not t.transformed for t in comp.transforms.values())
-    assert len([d for d in comp.diagnostics if d.code == W_BUDGET]) == 2
-    assert all(d.severity == "warning" for d in comp.diagnostics)
-
-
-def test_candidate_budget_degrades_search():
-    budget = SearchBudget(max_candidates=1)
-    comp = catt_compile(parse(ATAX), LAUNCHES, TITAN_V_SIM, budget=budget)
-    t1 = comp.transforms["atax_kernel1"]
-    # The search for kernel1's loop ran out of candidates: loop untouched,
-    # CORR-style, and the analysis records which loops were cut short.
-    assert t1.analysis is not None
-    assert not t1.warp_splits
-    assert any(d.code == W_BUDGET for d in comp.diagnostics)
-
-
 def test_no_budget_means_no_budget_diagnostics():
     comp = catt_compile(parse(ATAX), LAUNCHES, TITAN_V_SIM)
-    assert not [d for d in comp.diagnostics if d.code == W_BUDGET]
     assert comp.ok
