@@ -15,6 +15,8 @@ Loops keep their source-level identity: each lowered loop is registered as a
 and member-block set, in the same pre-order that
 :mod:`repro.analysis.loops` assigns ``loop_id``s.  The solver uses the
 preheader/header pair to pin induction variables to closed forms.
+``CFG.order`` lists the actions in the order they were appended, the order
+the loop records list their accesses in.
 """
 
 from __future__ import annotations
@@ -47,6 +49,16 @@ class Action:
 
     kind: str                 # DECL | EVAL | SYNC
     node: object              # DeclStmt | Expr | SyncthreadsStmt
+
+    def sites(self) -> list[Expr]:
+        """The expressions this action evaluates: an eval's expression, a
+        decl's declarator initializers."""
+        if self.kind == EVAL:
+            return [self.node]
+        if self.kind == DECL:
+            return [d.init for d in self.node.declarators
+                    if d.init is not None]
+        return []
 
 
 @dataclass
@@ -81,6 +93,12 @@ class CFG:
     entry: int
     exit: int
     loops: list[CFGLoop]       # source pre-order (matches loops.py loop_ids)
+    # Every action with its block id, in the order the builder appended
+    # them: statement order, with a for loop's condition before its body
+    # and its step after, and a do-while's condition before its body.
+    # (Block ids follow another order: a for loop's step block is created
+    # before the blocks of its body.)
+    order: list[tuple[int, Action]]
 
     def rpo(self) -> list[int]:
         """Reverse postorder over reachable blocks, then any unreachable
@@ -105,12 +123,18 @@ class _Builder:
     def __init__(self) -> None:
         self.blocks: list[BasicBlock] = []
         self.loops: list[CFGLoop] = []
+        self.order: list[tuple[int, Action]] = []
         self.exit_block = None  # set by build_cfg
 
     def new_block(self) -> BasicBlock:
         b = BasicBlock(id=len(self.blocks))
         self.blocks.append(b)
         return b
+
+    def emit(self, b: BasicBlock, kind: str, node) -> None:
+        action = Action(kind, node)
+        b.actions.append(action)
+        self.order.append((b.id, action))
 
     def edge(self, a: BasicBlock, b: BasicBlock) -> None:
         a.succs.append(b.id)
@@ -128,13 +152,13 @@ class _Builder:
                 cur = self.lower(s, cur, brk, cont)
             return cur
         if isinstance(stmt, DeclStmt):
-            cur.actions.append(Action(DECL, stmt))
+            self.emit(cur, DECL, stmt)
             return cur
         if isinstance(stmt, ExprStmt):
-            cur.actions.append(Action(EVAL, stmt.expr))
+            self.emit(cur, EVAL, stmt.expr)
             return cur
         if isinstance(stmt, SyncthreadsStmt):
-            cur.actions.append(Action(SYNC, stmt))
+            self.emit(cur, SYNC, stmt)
             return cur
         if isinstance(stmt, IfStmt):
             return self._lower_if(stmt, cur, brk, cont)
@@ -146,7 +170,7 @@ class _Builder:
             return self._lower_dowhile(stmt, cur, brk, cont)
         if isinstance(stmt, ReturnStmt):
             if stmt.value is not None:
-                cur.actions.append(Action(EVAL, stmt.value))
+                self.emit(cur, EVAL, stmt.value)
             self.edge(cur, self.exit_block)
             return None
         if isinstance(stmt, BreakStmt):
@@ -162,7 +186,7 @@ class _Builder:
         return cur  # unknown statement kinds: no control effect
 
     def _lower_if(self, stmt: IfStmt, cur, brk, cont):
-        cur.actions.append(Action(EVAL, stmt.cond))
+        self.emit(cur, EVAL, stmt.cond)
         then_b = self.new_block()
         self.edge(cur, then_b)
         t_end = self.lower(stmt.then, then_b, brk, cont)
@@ -187,7 +211,7 @@ class _Builder:
         header = self.new_block()
         self.edge(preheader, header)
         if stmt.cond is not None:
-            header.actions.append(Action(EVAL, stmt.cond))
+            self.emit(header, EVAL, stmt.cond)
         exit_b = self.new_block()
         self.edge(header, exit_b)
         loop = CFGLoop(stmt, "for", preheader.id, header.id, exit_b.id)
@@ -200,7 +224,7 @@ class _Builder:
         if b_end is not None:
             self.edge(b_end, step_b)
         if stmt.step is not None:
-            step_b.actions.append(Action(EVAL, stmt.step))
+            self.emit(step_b, EVAL, stmt.step)
         self.edge(step_b, header)
         loop.blocks = frozenset(range(mark, len(self.blocks))) - {exit_b.id}
         self.loops[slot] = loop
@@ -211,7 +235,7 @@ class _Builder:
         mark = len(self.blocks)
         header = self.new_block()
         self.edge(preheader, header)
-        header.actions.append(Action(EVAL, stmt.cond))
+        self.emit(header, EVAL, stmt.cond)
         exit_b = self.new_block()
         self.edge(header, exit_b)
         loop = CFGLoop(stmt, "while", preheader.id, header.id, exit_b.id)
@@ -233,7 +257,7 @@ class _Builder:
         self.edge(preheader, header)
         exit_b = self.new_block()
         cond_b = self.new_block()
-        cond_b.actions.append(Action(EVAL, stmt.cond))
+        self.emit(cond_b, EVAL, stmt.cond)
         loop = CFGLoop(stmt, "dowhile", preheader.id, header.id, exit_b.id)
         slot = len(self.loops)
         self.loops.append(loop)
@@ -256,4 +280,4 @@ def build_cfg(body: Block) -> CFG:
     if end is not None:
         b.edge(end, b.exit_block)
     return CFG(blocks=b.blocks, entry=entry.id, exit=b.exit_block.id,
-               loops=b.loops)
+               loops=b.loops, order=b.order)

@@ -22,6 +22,14 @@ question is answered on the kernel CFG instead:
   single in-loop barrier still share an interval, which is exactly the case
   the old counter missed.
 
+* **Accesses.**  A segment's array references are the ones
+  :func:`~repro.analysis.loops.find_loops` resolved once per evaluation
+  site (``KernelLoops.refs``), the table the loop records come from too:
+  the array, its space, the flattened affine index, and whether the
+  reference reads, writes or atomically updates its element.  A reference
+  that names no array (a pointer the flow cannot root, a ``*p``
+  dereference) caps every verdict of its interval at ``UNKNOWN``.
+
 * **Disjointness.**  Two accesses to one array in one interval, at least one
   a write, race unless their index forms are provably disjoint across
   distinct threads of a TB.  Writing each affine index as
@@ -63,22 +71,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ...frontend.ast_nodes import (
-    ArrayRef,
     Assign,
     BinOp,
     BreakStmt,
-    Call,
     ContinueStmt,
-    DeclStmt,
     DoWhileStmt,
     Expr,
     ForStmt,
-    Ident,
     IfStmt,
-    PostIncDec,
     Stmt,
     SyncthreadsStmt,
-    UnaryOp,
     WhileStmt,
     expressions_in,
     path_to_stmt,
@@ -97,8 +99,7 @@ from ..affine import (
     SymbolicEnv,
     analyze_expr,
 )
-from .affineprop import ptr_state_of
-from .cfg import DECL, EVAL, SYNC, CFGLoop
+from .cfg import SYNC, CFGLoop
 
 PROVED_SAFE = "PROVED-SAFE"
 PROVED_RACE = "PROVED-RACE"
@@ -539,15 +540,6 @@ class _SegmentGraph:
 # ---------------------------------------------------------------------------
 
 
-def _shared_dims(kernel) -> dict[str, tuple[int, ...]]:
-    dims: dict[str, tuple[int, ...]] = {}
-    for stmt in statements_in(kernel.body):
-        if isinstance(stmt, DeclStmt) and stmt.is_shared:
-            for d in stmt.declarators:
-                dims[d.name] = d.array_sizes
-    return dims
-
-
 def _guarded_exprs(divergence: Divergence) -> set[int]:
     """``id(expr)`` of every evaluation site under a thread-dependent guard
     or inside a loop with a thread-dependent trip count.  Such accesses may
@@ -571,101 +563,10 @@ def _guarded_exprs(divergence: Divergence) -> set[int]:
     return guarded
 
 
-class _Collector:
-    """Resolve every array reference of one expression into AccessSites."""
-
-    def __init__(self, shared_dims, local_arrays, env):
-        self.shared_dims = shared_dims
-        self.local_arrays = local_arrays
-        self.env = env
-        self.out: list[tuple] = []   # (array, space, form, r, w, atomic, line)
-        # A reference that names no site: a local array, a pointer the flow
-        # cannot resolve, a ``*p`` dereference.
-        self.unplaced = False
-        # Lines of the last two, which may touch any array.
-        self.blind: list[int | None] = []
-
-    def _flatten_shared(self, name: str, indexes: list[Expr],
-                        env) -> AffineForm:
-        dims = self.shared_dims[name]
-        if len(indexes) != len(dims):
-            return AffineForm.unknown()   # partial reference (row address)
-        total = AffineForm.constant(0)
-        stride = 1
-        for idx, dim in zip(reversed(indexes), reversed(dims)):
-            total = total + analyze_expr(idx, env) * \
-                AffineForm.constant(stride)
-            stride *= dim
-        return total
-
-    def _resolve(self, node: ArrayRef, env):
-        """(array, space, flattened form), or None when the reference names
-        no site; one that is not to a (thread-private) local array is
-        noted in ``blind``."""
-        indexes: list[Expr] = []
-        base: Expr = node
-        while isinstance(base, ArrayRef):
-            indexes.append(base.index)
-            base = base.base
-        indexes.reverse()
-        if isinstance(base, Ident) and base.name in self.shared_dims:
-            return (base.name, "shared",
-                    self._flatten_shared(base.name, indexes, env))
-        ps = ptr_state_of(base, env)
-        if ps is not None and ps.root is not None and len(indexes) == 1:
-            return (ps.root, "global",
-                    ps.offset + analyze_expr(indexes[0], env))
-        if not (isinstance(base, Ident) and base.name in self.local_arrays):
-            self.blind.append(line_of(node.loc))
-        return None
-
-    def visit(self, site_expr: Expr) -> None:
-        env = self.env
-        writes: dict[int, bool] = {}    # id(ArrayRef) -> also-reads
-        atomics: set[int] = set()
-        inner: set[int] = set()
-        for node in walk_expr(site_expr):
-            if isinstance(node, Assign) and isinstance(node.target, ArrayRef):
-                writes[id(node.target)] = node.op != "="
-            elif (isinstance(node, PostIncDec) or isinstance(node, UnaryOp)
-                  and node.op in ("++", "--")) and \
-                    isinstance(node.operand, ArrayRef):
-                writes[id(node.operand)] = True   # read-modify-write
-            elif isinstance(node, Call) and node.func == "atomicAdd" and \
-                    node.args:
-                tgt = node.args[0]
-                if isinstance(tgt, UnaryOp) and tgt.op == "&":
-                    tgt = tgt.operand
-                if isinstance(tgt, ArrayRef):
-                    atomics.add(id(tgt))
-            if isinstance(node, ArrayRef) and isinstance(node.base, ArrayRef):
-                inner.add(id(node.base))
-        for node in walk_expr(site_expr):
-            if isinstance(node, UnaryOp) and node.op == "*":
-                self.unplaced = True
-                self.blind.append(line_of(node.loc))
-            if not isinstance(node, ArrayRef) or id(node) in inner:
-                continue
-            ref = self._resolve(node, env)
-            if ref is None:
-                self.unplaced = True
-                continue
-            array, space, form = ref
-            line = line_of(node.loc)
-            if id(node) in atomics:
-                self.out.append((array, space, form, True, True, True, line))
-            elif id(node) in writes:
-                self.out.append((array, space, form, writes[id(node)], True,
-                                 False, line))
-            else:
-                self.out.append((array, space, form, True, False, False,
-                                 line))
-
-
-def _collect_accesses(flow, graph: _SegmentGraph, separating, guarded_ids,
-                      shared_dims, local_arrays):
-    """Every access site, the CFG blocks holding a reference that names no
-    site, and per interval the lines of those that may touch any array."""
+def _collect_accesses(refs, graph: _SegmentGraph, separating, guarded_ids):
+    """Every placed access site, the CFG blocks holding a reference that
+    names no site, and per interval the lines of those that may touch any
+    array.  ``refs`` is :attr:`~repro.analysis.loops.KernelLoops.refs`."""
     out: list[AccessSite] = []
     unplaced: set[int] = set()
     blind: dict[int, set[int | None]] = {}
@@ -673,31 +574,25 @@ def _collect_accesses(flow, graph: _SegmentGraph, separating, guarded_ids,
         segs = graph.block_segs[b.id]
         cursor = 0
         for action in b.actions:
-            if action.kind == SYNC:
-                if id(action.node) in separating:
-                    cursor += 1
-                continue
-            exprs: list[Expr] = []
-            if action.kind == EVAL:
-                exprs.append(action.node)
-            elif action.kind == DECL:
-                exprs.extend(d.init for d in action.node.declarators
-                             if d.init is not None)
-            for e in exprs:
-                c = _Collector(shared_dims, local_arrays,
-                               flow.env_sites[id(e)])
-                c.visit(e)
-                if c.unplaced:
+            if action.kind == SYNC and id(action.node) in separating:
+                cursor += 1
+            for e in action.sites():
+                for r in refs[id(e)]:
+                    if r.space in ("global", "shared"):
+                        out.append(AccessSite(
+                            array=r.array, space=r.space, index=r.index,
+                            is_read=r.is_read, is_write=r.is_write,
+                            is_atomic=r.is_atomic,
+                            guarded=id(e) in guarded_ids,
+                            segment=segs[cursor], block=b.id,
+                            line=line_of(r.loc)))
+                        continue
+                    # A local array, an unrooted pointer or a ``*p``
+                    # dereference; the last two may touch any array.
                     unplaced.add(b.id)
-                for line in c.blind:
-                    blind.setdefault(graph.interval[segs[cursor]],
-                                     set()).add(line)
-                for array, space, form, r, w, atomic, line in c.out:
-                    out.append(AccessSite(
-                        array=array, space=space, index=form, is_read=r,
-                        is_write=w, is_atomic=atomic,
-                        guarded=id(e) in guarded_ids, segment=segs[cursor],
-                        block=b.id, line=line))
+                    if r.space is None:
+                        blind.setdefault(graph.interval[segs[cursor]],
+                                         set()).add(line_of(r.loc))
     return out, unplaced, blind
 
 
@@ -976,10 +871,10 @@ def analyze_races(analysis) -> RaceReport:
 
     ``analysis`` is a :class:`~repro.analysis.kernel_info.KernelAnalysis`
     (or any object with its ``kernel``, ``kernel_loops`` and ``block_dim``);
-    its dataflow fixpoint (``analysis.kernel_loops.flow``, the one the loop
-    analysis read its index forms from) supplies the CFG, the launch shape
-    and the per-site affine environments.  A failure propagates to the
-    caller.  Verdict counts are published as
+    its loop analysis supplies the array references resolved per
+    evaluation site (``kernel_loops.refs``) and the dataflow fixpoint
+    (``kernel_loops.flow``) with the CFG, the launch shape and the guard
+    environments.  A failure propagates to the caller.  Verdict counts are published as
     ``race.proved_safe`` / ``race.proved_race`` / ``race.unknown``.
     """
     return _race_facts(analysis).report
@@ -1004,9 +899,9 @@ def loop_conflicts(analysis, loop: Stmt) -> tuple[str, ...]:
     conflicts too.  Calls are not looked into.
     """
     facts = _race_facts(analysis)
+    kl = analysis.kernel_loops
     blocks = frozenset().union(*(
-        cl.blocks for cl in analysis.kernel_loops.flow.cfg.loops
-        if cl.stmt is loop))
+        cl.blocks for cl in kl.flow.cfg.loops if cl.stmt is loop))
     if not blocks:
         return ("loop not found in the kernel's CFG",)
     out: list[str] = []
@@ -1014,8 +909,7 @@ def loop_conflicts(analysis, loop: Stmt) -> tuple[str, ...]:
         out.append("the loop holds a reference the race analysis cannot "
                    "place on an array")
     if isinstance(loop, ForStmt) and loop.init is not None and any(
-            isinstance(e, ArrayRef) or isinstance(e, UnaryOp) and e.op == "*"
-            for e in expressions_in(loop.init)):
+            kl.refs.get(id(e)) for e in expressions_in(loop.init)):
         out.append("the loop's for-init references memory")
     verdicts = {(v.array, v.interval): v for v in facts.report.verdicts}
     for key in sorted({(site.array, interval) for site, interval
@@ -1039,8 +933,7 @@ def _race_facts(analysis) -> _RaceFacts:
     separating = _separating_syncs(divergence)
     graph = _SegmentGraph(flow.cfg, separating)
     accesses, unplaced, blind = _collect_accesses(
-        flow, graph, separating, _guarded_exprs(divergence),
-        _shared_dims(kernel), kl.local_arrays)
+        kl.refs, graph, separating, _guarded_exprs(divergence))
 
     prover = _Prover(analysis, flow, graph)
     regions: dict[tuple[str, int], list[AccessSite]] = {}

@@ -1,46 +1,69 @@
-"""Loop discovery and memory-access collection.
+"""Array-reference resolution and loop discovery.
 
-Walks a kernel body over the
-:class:`~repro.analysis.dataflow.affineprop.AffineFlow` fixpoint, recording
-every loop and the off-chip memory references executed inside it, each with
-the affine index form the fixpoint proves at its evaluation site.  This is
-the front half of §4.2: the back half (coalescing, footprints, throttling
-factors) consumes the :class:`LoopRecord` list produced here.
+Every array reference of a kernel is resolved once, against the
+:class:`~repro.analysis.dataflow.affineprop.AffineFlow` fixpoint snapshot of
+its evaluation site: the global or ``__shared__`` array it lands on (through
+pointer states, so a strength-reduced ``pivot[0]`` lands on its root array),
+its flattened element index form, and whether it reads, writes or atomically
+updates its element.  :class:`KernelLoops` keeps these references per site;
+the race analysis (:mod:`repro.analysis.dataflow.races`) reads them per
+barrier interval, and the :class:`LoopRecord`s are derived from the same
+references and the fixpoint's CFG loops.  This is the front half of §4.2:
+the back half (coalescing, footprints, throttling factors) consumes the
+:class:`LoopRecord` list produced here.
 
 Only *global-pointer* dereferences count as off-chip accesses; ``__shared__``
-and per-thread local arrays stay on chip.  References are de-duplicated per
-loop by (array, index form, width) — the paper counts the three references in
+and per-thread local arrays stay on chip, and a reference the flow cannot
+place on an array (a pointer it cannot root, a ``*p`` dereference) is in no
+loop record.  References are de-duplicated per loop by (array, index form,
+width, direction) — the paper counts the three references in
 ``tmp[i] += A[i*NX+j] * B[j]`` as three memory instructions, with the
 read-modify-write of ``tmp[i]`` counted once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..frontend.ast_nodes import (
     ArrayRef,
     Assign,
-    BinOp,
-    Block,
-    Cast,
-    DeclStmt,
+    Call,
     DoWhileStmt,
     Expr,
-    ExprStmt,
     ForStmt,
     FunctionDef,
     Ident,
-    IfStmt,
-    ReturnStmt,
+    PostIncDec,
     Stmt,
-    SyncthreadsStmt,
+    UnaryOp,
     WhileStmt,
     statements_in,
     walk_expr,
 )
 from .affine import AffineForm, analyze_expr
 from .dataflow.affineprop import AffineFlow, FlowEnv, ptr_state_of
+from .dataflow.cfg import DECL, SYNC
+
+
+@dataclass(frozen=True)
+class Reference:
+    """One array reference of an evaluation site.
+
+    ``space`` is ``"global"`` or ``"shared"`` when the reference is placed on
+    ``array``, ``"local"`` for a thread-private local array, and None when
+    the flow cannot place it (a pointer it cannot root, a ``*p``
+    dereference): such a reference may touch any array, and ``array`` is
+    None.
+    """
+
+    array: str | None
+    space: str | None
+    index: AffineForm          # flattened element index (unknown if unplaced)
+    is_read: bool
+    is_write: bool
+    is_atomic: bool
+    loc: object = None
 
 
 @dataclass(frozen=True)
@@ -69,7 +92,7 @@ class MemAccess:
 class LoopRecord:
     """One loop of the kernel, with its iterator and enclosed accesses.
 
-    ``loop_id`` is the loop's index in walk order, so
+    ``loop_id`` is the loop's index in source pre-order, so
     ``loop_statements(k)[loop_id]`` is this loop in any kernel ``k`` equal
     to the analysed one; ``stmt`` is the analysed kernel's own statement.
     """
@@ -103,188 +126,94 @@ class LoopRecord:
 
 @dataclass(frozen=True)
 class KernelLoops:
-    """All loops of one kernel plus name classification."""
+    """All loops of one kernel, its array references and name classes."""
 
     kernel: FunctionDef
     loops: tuple[LoopRecord, ...]
-    global_pointers: dict[str, int]   # name -> element size
+    refs: dict[int, tuple[Reference, ...]]   # id(evaluation site) -> refs
     shared_arrays: frozenset[str]
     local_arrays: frozenset[str]
     flow: AffineFlow                  # the fixpoint the index forms come from
 
 
 # ---------------------------------------------------------------------------
-
-
-class _Walker:
-    """Collects loops and accesses from an
-    :class:`~repro.analysis.dataflow.affineprop.AffineFlow` fixpoint.
-
-    Index forms are resolved against the fixpoint environment snapshot of
-    each evaluation site, and loop headers come from the flow's induction
-    recognition; the walker itself only tracks loop nesting and name
-    classes.
-    """
-
-    def __init__(self, kernel: FunctionDef, flow: AffineFlow):
-        self.flow = flow
-        self.loops: list[LoopRecord] = []   # accesses and sync filled last
-        self.stack: list[int] = []          # ids of the enclosing loops
-        self.accesses: list[list[MemAccess]] = []
-        self.syncs: set[int] = set()
-        self.global_pointers: dict[str, int] = {
-            p.name: p.type.element_size
-            for p in kernel.params if p.type.is_pointer
-        }
-        self.shared_arrays: set[str] = set()
-        self.local_arrays: set[str] = set()
-
-    # -- statements ------------------------------------------------------
-    def walk_stmt(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Block):
-            for s in stmt.statements:
-                self.walk_stmt(s)
-        elif isinstance(stmt, DeclStmt):
-            self._walk_decl(stmt)
-        elif isinstance(stmt, ExprStmt):
-            self._collect(stmt.expr)
-        elif isinstance(stmt, IfStmt):
-            self._collect(stmt.cond)
-            self.walk_stmt(stmt.then)
-            if stmt.otherwise is not None:
-                self.walk_stmt(stmt.otherwise)
-        elif isinstance(stmt, (ForStmt, WhileStmt, DoWhileStmt)):
-            self._walk_loop(stmt)
-        elif isinstance(stmt, SyncthreadsStmt):
-            self.syncs.update(self.stack)
-        elif isinstance(stmt, ReturnStmt):
-            if stmt.value is not None:
-                self._collect(stmt.value)
-        # Break/Continue/Empty: nothing to track.
-
-    def _walk_decl(self, stmt: DeclStmt) -> None:
-        for d in stmt.declarators:
-            if stmt.is_shared:
-                self.shared_arrays.add(d.name)
-                continue
-            if d.array_sizes:
-                self.local_arrays.add(d.name)
-                continue
-            if d.init is None:
-                continue
-            self._collect(d.init)
-            if stmt.type.is_pointer:
-                # Pointer locals initialized from a global array alias it
-                # (the flow tracks the element offset via PtrState).
-                root = _root_pointer(d.init)
-                if root is not None and root in self.global_pointers:
-                    self.global_pointers[d.name] = self.global_pointers[root]
-
-    # -- loops --------------------------------------------------------------
-    def _walk_loop(self, stmt: ForStmt | WhileStmt | DoWhileStmt) -> None:
-        if isinstance(stmt, ForStmt) and stmt.init is not None:
-            self.walk_stmt(stmt.init)
-        meta = self.flow.loop_meta[id(stmt)]
-        loop_id = len(self.loops)
-        self.loops.append(LoopRecord(
-            loop_id=loop_id,
-            depth=len(self.stack),
-            parent_id=self.stack[-1] if self.stack else None,
-            iterator=meta.iterator,
-            step=meta.step,
-            start=meta.start,
-            bound=meta.bound,
-            stmt=stmt,
-        ))
-        self.accesses.append([])
-
-        self.stack.append(loop_id)
-        # Loop conditions and steps re-execute every iteration: their memory
-        # accesses belong to the loop (e.g. BFS's `e < starts[tid+1]`).
-        if stmt.cond is not None:
-            self._collect(stmt.cond)
-        self.walk_stmt(stmt.body)
-        if isinstance(stmt, ForStmt) and stmt.step is not None:
-            self._collect(stmt.step)
-        self.stack.pop()
-
-    # -- expression scanning -------------------------------------------------
-    def _collect(self, expr: Expr) -> None:
-        """Record every off-chip array reference in ``expr``."""
-        env = self.flow.env_sites[id(expr)]
-        store_targets: dict[int, bool] = {}
-        for node in walk_expr(expr):
-            if isinstance(node, Assign) and isinstance(node.target, ArrayRef):
-                store_targets[id(node.target)] = node.op != "="  # compound = RMW
-        for node in walk_expr(expr):
-            if isinstance(node, ArrayRef):
-                if id(node) in store_targets:
-                    self._record(node, is_read=store_targets[id(node)],
-                                 is_write=True, env=env)
-                else:
-                    self._record(node, is_read=True, is_write=False, env=env)
-
-    def _record(self, ref: ArrayRef, is_read: bool, is_write: bool,
-                env: FlowEnv) -> None:
-        root, index_expr = _flatten_ref(ref)
-        form = None
-        if not isinstance(ref.base, ArrayRef):
-            # Resolve the base through pointer states, so a strength-reduced
-            # `pivot[0]` lands on its root array with the accumulated
-            # element offset.
-            ps = ptr_state_of(ref.base, env)
-            if ps is not None and ps.root is not None:
-                root = ps.root
-                form = ps.offset + analyze_expr(ref.index, env)
-        if root is None or root not in self.global_pointers:
-            return
-        if not self.stack:
-            return  # paper: only loop bodies are optimization targets
-        if form is None:
-            form = analyze_expr(index_expr, env) if index_expr is not None \
-                else AffineForm.unknown()
-        access = MemAccess(
-            array=root,
-            index=form,
-            element_size=self.global_pointers[root],
-            is_read=is_read,
-            is_write=is_write,
-            loop_id=self.stack[-1],
-            loc=ref.loc,
-        )
-        for loop_id in self.stack:
-            self.accesses[loop_id].append(access)
-
-    def records(self) -> tuple[LoopRecord, ...]:
-        return tuple(replace(rec, accesses=tuple(self.accesses[rec.loop_id]),
-                             contains_sync=rec.loop_id in self.syncs)
-                     for rec in self.loops)
-
-
-# ---------------------------------------------------------------------------
-# Helpers
+# Resolving the references of one evaluation site
 # ---------------------------------------------------------------------------
 
 
-def _flatten_ref(ref: ArrayRef) -> tuple[str | None, Expr | None]:
-    """Root pointer name and (single-level) index expression of a reference."""
-    if isinstance(ref.base, Ident):
-        return ref.base.name, ref.index
-    if isinstance(ref.base, BinOp) or isinstance(ref.base, Cast):
-        root = _root_pointer(ref.base)
-        return root, ref.index  # pointer-arithmetic base: keep index only
-    if isinstance(ref.base, ArrayRef):
-        # multi-level subscripts (shared arrays) — root only, no flat index
-        root, _ = _flatten_ref(ref.base)
-        return root, None
-    return None, None
-
-
-def _root_pointer(expr: Expr) -> str | None:
+def _directions(expr: Expr) -> dict[int, tuple[bool, bool, bool]]:
+    """``id(target) -> (reads, writes, atomic)`` for every node ``expr``
+    stores through.  An assignment writes its target, and reads it too under
+    a compound operator; ``++``/``--`` read and write theirs; ``atomicAdd``
+    updates its first argument (``&`` stripped) atomically.  Any other
+    reference only reads."""
+    out: dict[int, tuple[bool, bool, bool]] = {}
     for node in walk_expr(expr):
-        if isinstance(node, Ident):
-            return node.name
-    return None
+        if isinstance(node, Assign):
+            out[id(node.target)] = (node.op != "=", True, False)
+        elif isinstance(node, (PostIncDec, UnaryOp)) and \
+                node.op in ("++", "--"):
+            out[id(node.operand)] = (True, True, False)
+        elif isinstance(node, Call) and node.func == "atomicAdd" and \
+                node.args:
+            target = node.args[0]
+            if isinstance(target, UnaryOp) and target.op == "&":
+                target = target.operand
+            out[id(target)] = (True, True, True)
+    return out
+
+
+def _place(ref: ArrayRef, env: FlowEnv, shared: dict[str, tuple[int, ...]],
+           local: set[str]) -> tuple[str | None, str | None, AffineForm]:
+    """(array, space, flattened element index) of an outermost subscript."""
+    indexes: list[Expr] = []
+    base: Expr = ref
+    while isinstance(base, ArrayRef):
+        indexes.append(base.index)
+        base = base.base
+    indexes.reverse()
+    name = base.name if isinstance(base, Ident) else None
+    if name in shared:
+        dims = shared[name]
+        if len(indexes) != len(dims):
+            return name, "shared", AffineForm.unknown()   # a row address
+        total = AffineForm.constant(0)
+        stride = 1
+        for idx, dim in zip(reversed(indexes), reversed(dims)):
+            total = total + analyze_expr(idx, env) * \
+                AffineForm.constant(stride)
+            stride *= dim
+        return name, "shared", total
+    ps = ptr_state_of(base, env)
+    if ps is not None and ps.root is not None and len(indexes) == 1:
+        return ps.root, "global", ps.offset + analyze_expr(indexes[0], env)
+    if name in local:
+        return name, "local", AffineForm.unknown()
+    return None, None, AffineForm.unknown()
+
+
+def _references(expr: Expr, env: FlowEnv, shared: dict[str, tuple[int, ...]],
+                local: set[str]) -> tuple[Reference, ...]:
+    """Every array reference ``expr`` evaluates, in walk order; ``s[i][j]``
+    is one reference, and so is a ``*p`` dereference."""
+    directions = _directions(expr)
+    nodes = list(walk_expr(expr))
+    inner = {id(n.base) for n in nodes if isinstance(n, ArrayRef)}
+    out: list[Reference] = []
+    for node in nodes:
+        if isinstance(node, UnaryOp) and node.op == "*":
+            where = (None, None, AffineForm.unknown())
+        elif isinstance(node, ArrayRef) and id(node) not in inner:
+            where = _place(node, env, shared, local)
+        else:
+            continue
+        out.append(Reference(
+            *where, *directions.get(id(node), (True, False, False)),
+            loc=node.loc))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 
 
 def find_loops(
@@ -292,30 +221,78 @@ def find_loops(
     block_dim: tuple[int, int, int] | None = None,
     grid_dim: tuple[int, int, int] | None = None,
 ) -> KernelLoops:
-    """Walk ``kernel`` and return its loops with collected accesses.
+    """Resolve ``kernel``'s array references and return its loops.
 
     Index forms come from the forward dataflow fixpoint of
     :class:`repro.analysis.dataflow.AffineFlow`, which follows intermediate
     scalars, if-join-equal values, strength-reduced secondary inductions and
-    pointer bumps.  A failure inside the fixpoint propagates to the caller.
+    pointer bumps.  The evaluation sites are visited in the order the CFG
+    builder appended them, so a loop lists its accesses as its condition,
+    body and step run (a do-while's condition first).  A failure inside the
+    fixpoint propagates to the caller.
     """
     flow = AffineFlow(kernel, block_dim=block_dim, grid_dim=grid_dim)
-    walker = _Walker(kernel, flow)
-    walker.walk_stmt(kernel.body)
+    cfg = flow.cfg
+    element_size = {p.name: p.type.element_size
+                    for p in kernel.params if p.type.is_pointer}
+    shared: dict[str, tuple[int, ...]] = {}
+    local: set[str] = set()
+    refs: dict[int, tuple[Reference, ...]] = {}
+    # The loops around each block, outermost first (cfg.loops is pre-order).
+    around: dict[int, list[int]] = {}
+    for loop_id, cl in enumerate(cfg.loops):
+        for b in cl.blocks:
+            around.setdefault(b, []).append(loop_id)
+    accesses: list[list[MemAccess]] = [[] for _ in cfg.loops]
+    syncs: set[int] = set()
+    for block, action in cfg.order:
+        loops = around.get(block, ())
+        if action.kind == SYNC:
+            syncs.update(loops)
+        elif action.kind == DECL:
+            for d in action.node.declarators:
+                if action.node.is_shared:
+                    shared[d.name] = d.array_sizes
+                elif d.array_sizes:
+                    local.add(d.name)
+        for site in action.sites():
+            if id(site) not in refs:
+                refs[id(site)] = _references(
+                    site, flow.env_sites[id(site)], shared, local)
+            if not loops:
+                continue  # paper: only loop bodies are optimization targets
+            for r in refs[id(site)]:
+                if r.space != "global":
+                    continue
+                access = MemAccess(r.array, r.index, element_size[r.array],
+                                   r.is_read, r.is_write, loops[-1], r.loc)
+                for loop_id in loops:
+                    accesses[loop_id].append(access)
+    records = []
+    for loop_id, cl in enumerate(cfg.loops):
+        meta = flow.loop_meta[id(cl.stmt)]
+        outer = around[cl.header][:-1]
+        records.append(LoopRecord(
+            loop_id=loop_id, depth=len(outer),
+            parent_id=outer[-1] if outer else None,
+            iterator=meta.iterator, step=meta.step, start=meta.start,
+            bound=meta.bound, stmt=cl.stmt,
+            accesses=tuple(accesses[loop_id]),
+            contains_sync=loop_id in syncs))
     return KernelLoops(
         kernel=kernel,
-        loops=walker.records(),
-        global_pointers=walker.global_pointers,
-        shared_arrays=frozenset(walker.shared_arrays),
-        local_arrays=frozenset(walker.local_arrays),
+        loops=tuple(records),
+        refs=refs,
+        shared_arrays=frozenset(shared),
+        local_arrays=frozenset(local),
         flow=flow,
     )
 
 
 def loop_statements(kernel: FunctionDef) -> tuple[Stmt, ...]:
-    """``kernel``'s loop statements in :func:`find_loops`' walk order, so
-    entry ``r.loop_id`` is record ``r``'s loop in this kernel.  Transforms
-    resolve loops here, because a memoized analysis may hold the statements
-    of another, equal kernel."""
+    """``kernel``'s loop statements in source pre-order, :func:`find_loops`'
+    ``loop_id`` order, so entry ``r.loop_id`` is record ``r``'s loop in this
+    kernel.  Transforms resolve loops here, because a memoized analysis may
+    hold the statements of another, equal kernel."""
     return tuple(s for s in statements_in(kernel.body)
                  if isinstance(s, (ForStmt, WhileStmt, DoWhileStmt)))

@@ -19,8 +19,7 @@ Quickstart::
         sess.write_manifest("run.manifest.json")
 
 Sessions are context managers: ``close()`` (or leaving the ``with`` block)
-flushes the result cache and releases the session; a closed session refuses
-further pipeline work.
+releases the session; a closed session refuses further pipeline work.
 """
 
 from __future__ import annotations
@@ -74,20 +73,16 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Flush the result cache and retire this session (idempotent).
+        """Retire this session (idempotent).
 
         After ``close()`` every pipeline method raises — a closed session
         holds no promises about cache or observability state.  Closing
-        flushes the session's :class:`~repro.experiments.common.ResultCache`
-        (a durability barrier) and drops the in-process memo so a later
-        session re-reads the disk.
+        drops the session's :class:`~repro.experiments.common.ResultCache`
+        with its in-process memo; the store wrote every cell through to
+        disk when it was put, so a later session reads them there.
         """
-        if self._closed:
-            return
         self._closed = True
-        if self._result_cache is not None:
-            self._result_cache.flush()
-            self._result_cache = None
+        self._result_cache = None
 
     def __enter__(self) -> "Session":
         if self._closed:

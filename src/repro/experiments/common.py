@@ -145,18 +145,6 @@ class ResultCache:
         retried by the next sweep instead of poisoning the disk cache."""
         self._mem[key] = result
 
-    def flush(self) -> None:
-        """Durability barrier: every :meth:`put` record is on disk on return.
-
-        The store writes through (atomic fsync'd replace per put), so today
-        this only has to drop shard memos so the next read observes other
-        processes' writes; ``Session.close()`` calls it so a write-behind
-        cache could be introduced without changing callers.  Transient
-        (degraded) records stay memory-only by design.
-        """
-        if self._store is not None:
-            self._store._memo.clear()
-
     def digest(self) -> str:
         """sha256 hex digest over the on-disk shard bytes.
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..baselines.ciao import CiaoGovernor
+from ..baselines.ata import run_with_ata
+from ..baselines.ciao import run_with_ciao
 from ..obs.trace import span as _span
 from ..options import SimOptions, current_options, use_options
 from ..workloads import get_workload
@@ -34,6 +35,8 @@ DEFAULT_SMS = (1, 2, 4)
 #: against the two shared-cache contention managers — exactly the schemes
 #: whose value should *grow* with co-residency.
 DEFAULT_SCHEMES = ("baseline", "ciao", "ata")
+_RUNNERS = {"baseline": run_workload, "ciao": run_with_ciao,
+            "ata": run_with_ata}
 
 
 @dataclass
@@ -56,17 +59,11 @@ class L2SweepRow:
 
 def _sweep_cell(app: str, scale: str, spec_name: str, sms: int,
                 scheme: str = "baseline") -> L2SweepRow:
-    spec = SPECS[spec_name]
-    launch_kw: dict = {}
-    if scheme == "ciao":
-        launch_kw["governor"] = CiaoGovernor()
-    elif scheme == "ata":
-        launch_kw["l1_ata"] = True
-    elif scheme != "baseline":
+    runner = _RUNNERS.get(scheme)
+    if runner is None:
         raise ValueError(f"unknown l2sweep scheme {scheme!r}; "
                          f"options: {DEFAULT_SCHEMES}")
-    run = run_workload(get_workload(app, scale), spec, verify=False,
-                       **launch_kw)
+    run = runner(get_workload(app, scale), SPECS[spec_name], verify=False)
     l2_hits = l2_accesses = 0
     l1_hits = l1_accesses = 0
     dram = 0

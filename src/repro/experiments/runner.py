@@ -56,8 +56,11 @@ def _analyze(app: str, scale: str) -> str:
     return "\n\n".join(parts)
 
 
-def _compile_file(args) -> str:
-    """``catt compile``: run the CATT pipeline on a kernel source file."""
+def _compile_file(args) -> tuple[str, int]:
+    """``catt compile``: run the CATT pipeline on a kernel source file.
+
+    Returns the report plus transformed source, and the exit code: 1 when
+    ``--emit-ptx`` is asked for and a kernel has no PTX lowering."""
     from ..frontend import emit, parse
     from ..transform import catt_compile
 
@@ -84,12 +87,19 @@ def _compile_file(args) -> str:
         with open(args.output, "w") as fh:
             fh.write(out_text)
     if args.emit_ptx:
-        from ..ptx import lower_module
+        from ..ptx import LoweringError, PTXModule, lower_kernel
 
-        ptx_text = lower_module(comp.unit).render()
+        lowered = []
+        for k in comp.unit.kernels():
+            try:
+                lowered.append(lower_kernel(comp.unit, k.name))
+            except LoweringError as exc:
+                print(f"catt compile: no PTX for kernel {k.name!r}: {exc}",
+                      file=sys.stderr)
+                return out_text, 1
         with open(args.emit_ptx, "w") as fh:
-            fh.write(ptx_text)
-    return out_text
+            fh.write(PTXModule(lowered).render())
+    return out_text, 0
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +328,9 @@ def _dispatch(args, parser, opts: SimOptions) -> int:
     if args.experiment == "compile":
         if not args.app:
             parser.error("compile requires a source file")
-        text = _compile_file(args)
+        text, code = _compile_file(args)
+        print(text)
+        return code
     elif args.experiment == "profile":
         if not args.app or args.app not in WORKLOADS:
             parser.error(f"profile requires a workload name from "

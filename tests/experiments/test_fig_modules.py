@@ -88,6 +88,26 @@ __global__ void walk(float *A, float *y) {
     assert ".visible .entry walk(" in ptx.read_text()
 
 
+def test_cli_compile_reports_a_kernel_without_ptx(tmp_path, capsys):
+    from repro.experiments.runner import main
+
+    src = tmp_path / "k.cu"
+    src.write_text(
+        "__global__ void k(float *x, float *y, int n) { "
+        "int t = blockIdx.x * blockDim.x + threadIdx.x; "
+        "for (int i = 0; i < n; i++) { y[t * 32 + i]++; x[t] += y[t]; } }\n")
+    out = tmp_path / "out.cu"
+    ptx = tmp_path / "out.ptx"
+    rc = main(["compile", str(src), "--grid", "4", "--block", "256",
+               "-o", str(out), "--emit-ptx", str(ptx)])
+    assert rc == 1
+    assert "// CATT report for k:" in out.read_text()
+    assert not ptx.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["catt compile: no PTX for kernel 'k': "
+                   "++/-- target must be a variable"]
+
+
 def test_fig7_swl_column_derived_from_sweep(cache):
     from repro.experiments.fig7 import build_fig7
 

@@ -60,13 +60,13 @@ def test_store_digest_reflects_record_set(tmp_path):
     assert store.digest() != one
 
 
-def test_result_cache_digest_and_flush(tmp_path):
+def test_result_cache_digest(tmp_path):
     cache = ResultCache(tmp_path / "c")
     assert cache.digest() == ShardStore(tmp_path / "c").digest()
     result = AppResult("A", "baseline", "max", "test", 10, {})
     cache.put("A|baseline|max|test", result)
-    cache.flush()
-    # A second cache over the same directory sees identical bytes.
+    # The put wrote through: a second cache over the same directory sees
+    # identical bytes.
     assert ResultCache(tmp_path / "c").digest() == cache.digest() != ""
     # Memory-only caches have no disk bytes to digest.
     assert ResultCache("").digest() == ""
